@@ -7,20 +7,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
 from .coarsening import CoarseningParams
-from .graph import Graph
 from .inflation import InflationError
 from .instances import (DocumentError, InstanceError, build_solution_document,
                         load_instance, read_solution, trial_row, write_solution,
                         write_trials_csv)
 from .plotting import render_solution_svg
 from .report import build_report, format_report, write_report_csv
-from .tuning import (SearchSpace, random_search, run_baseline, run_pipeline,
-                     sample_params, solve_baseline, trial_seed)
+from .tuning import SearchSpace, random_search, run_baseline, run_pipeline, solve_baseline
 
 
 def _summary_line(tag: str, metrics, score: float) -> str:
@@ -41,7 +38,7 @@ def cmd_solve(args) -> int:
     out = run_pipeline(instance, params, args.solver)
     print(_summary_line(instance.name, out.metrics, out.score))
     doc = build_solution_document(
-        out.solution, Graph.from_instance(instance), out.metrics,
+        out.solution, instance, out.metrics,
         {"alpha": args.alpha, "beta": args.beta, "p": args.p,
          "radius_coeff": args.radius, "propagation": args.propagation,
          "solver": args.solver},
@@ -56,9 +53,8 @@ def cmd_baseline(args) -> int:
     instance = load_instance(args.instance)
     solution, metrics, score, timings = solve_baseline(instance, args.solver)
     print(_summary_line(f"{instance.name} [baseline {args.solver}]", metrics, score))
-    doc = build_solution_document(solution, Graph.from_instance(instance), metrics,
-                                  {"solver": args.solver}, seed=args.seed,
-                                  timings=timings)
+    doc = build_solution_document(solution, instance, metrics, {"solver": args.solver},
+                                  seed=args.seed, timings=timings)
     out_path = args.out or _default_out(args.instance, ".baseline.json")
     write_solution(doc, out_path)
     print(f"wrote {out_path}")
@@ -104,12 +100,11 @@ def cmd_tune(args) -> int:
     write_trials_csv(out_dir / "baselines.csv",
                      [trial_row(b, instance.name, args.seed) for b in baselines])
     # re-run the winning configuration to get its full solution for the document
-    rng = random.Random(trial_seed(args.seed, best.trial))
-    params, solver = sample_params(space, rng, args.propagation)
-    out = run_pipeline(instance, params, solver)
-    doc = build_solution_document(out.solution, Graph.from_instance(instance),
-                                  out.metrics, best.params_doc(), seed=args.seed,
-                                  timings=out.timings)
+    params = CoarseningParams(alpha=best.alpha, beta=best.beta, p_target=best.p,
+                              radius_coeff=best.radius_coeff, propagation=best.propagation)
+    out = run_pipeline(instance, params, best.solver)
+    doc = build_solution_document(out.solution, instance, out.metrics, best.params_doc(),
+                                  seed=args.seed, timings=out.timings)
     write_solution(doc, out_dir / "best_solution.json")
     for b in baselines:
         print(_summary_line(f"{instance.name} [baseline {b.solver}]", b.metrics, b.score))

@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .graph import Graph, CoarseNode, travel_time, _tau_key
+from .graph import TAU_MODES, CoarseNode, Graph
 
 PROPAGATION_MODES = ("relaxed", "conservative")
-SEPARATION_MODES = ("nominal", "strict")
-TAU_MODES = ("midpoint", "conservative")
 
 
 @dataclass(frozen=True)
@@ -25,7 +23,6 @@ class CoarseningParams:
     p_target: float = 0.5         # stop once customer count <= p_target * original
     radius_coeff: float = 1.0     # multiplier on the extent-based merge radius
     propagation: str = "relaxed"
-    separation_mode: str = "nominal"
     tau_mode: str = "midpoint"
 
     def __post_init__(self):
@@ -37,8 +34,6 @@ class CoarseningParams:
             raise ValueError("radius_coeff must be >= 0")
         if self.propagation not in PROPAGATION_MODES:
             raise ValueError(f"propagation must be one of {PROPAGATION_MODES}")
-        if self.separation_mode not in SEPARATION_MODES:
-            raise ValueError(f"separation_mode must be one of {SEPARATION_MODES}")
         if self.tau_mode not in TAU_MODES:
             raise ValueError(f"tau_mode must be one of {TAU_MODES}")
 
@@ -61,12 +56,6 @@ class MergeHistory:
 
     def __iter__(self):
         return iter(self.records)
-
-    def newest_first(self):
-        return reversed(self.records)
-
-    def super_ids(self) -> set[int]:
-        return {r.super_id for r in self.records}
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +84,7 @@ def st_distance(i: CoarseNode, j: CoarseNode, tau_ij: float,
 
 def pair_weight(i: CoarseNode, j: CoarseNode, tau_ij: float,
                 params: CoarseningParams) -> float:
-    # strict separation is directional; rank the unordered pair by the cheaper direction
-    d_ij = st_distance(i, j, tau_ij, params.alpha, params.beta, params.separation_mode)
-    if params.separation_mode == "nominal":
-        return d_ij
-    return min(d_ij, st_distance(j, i, tau_ij, params.alpha, params.beta,
-                                 params.separation_mode))
+    return st_distance(i, j, tau_ij, params.alpha, params.beta)
 
 
 def merge_feasibility(i: CoarseNode, j: CoarseNode, tau_ij: float) -> tuple[bool, bool]:
@@ -170,43 +154,10 @@ def merge_pair(graph: Graph, i: int, j: int, order: tuple[int, int],
                window: tuple[float, float], tau_mode: str = "midpoint"):
     """Replace customers i and j with one super-node; returns (graph, super).
 
-    The super sits at the midpoint of its children and sums their demand.
-    With tau_mode="midpoint" its service time is the children's sum and travel
-    times are measured from the midpoint. With tau_mode="conservative" the
-    internal leg is absorbed into the service time (s_first + tau_ij +
-    s_second) and travel to any third node is the worst case of the two
-    children, so a coarse schedule can never promise more than the expanded
-    route delivers.
+    A one-merge `Graph.contract`, which documents the super-node's attributes.
     """
-    if tau_mode not in TAU_MODES:
-        raise ValueError(f"unknown tau mode: {tau_mode!r}")
-    a, b = graph.node(order[0]), graph.node(order[1])
-    if {a.id, b.id} != {i, j} or i == j:
-        raise ValueError("order must permute the merged pair")
-    tau_ij = graph.tau(i, j)
-    ready, due = window
-    if tau_mode == "midpoint":
-        service = a.service + b.service
-    else:
-        service = a.service + tau_ij + b.service
-    super_id = max([graph.depot.id, i, j, *graph.customer_ids()]) + 1
-    super_node = CoarseNode(
-        id=super_id, kind="supernode",
-        x=(a.x + b.x) / 2.0, y=(a.y + b.y) / 2.0,
-        demand=a.demand + b.demand, service=service,
-        ready=ready, due=due, nominal_t=(ready + due) / 2.0,
-        members=a.members + b.members,
-    )
-    nodes = {nid: graph.node(nid) for nid in graph.customer_ids() if nid not in (i, j)}
-    tau = {k: v for k, v in graph._tau.items() if i not in k and j not in k}
-    for other in [graph.depot.id, *nodes]:
-        if tau_mode == "midpoint":
-            t = travel_time(super_node, graph.node(other))
-        else:
-            t = max(graph.tau(i, other), graph.tau(j, other))
-        tau[_tau_key(super_id, other)] = t
-    nodes[super_id] = super_node
-    return Graph(graph.depot, nodes, tau, name=graph.name), super_node
+    graph, (super_node,) = graph.contract([(i, j, order, window)], tau_mode)
+    return graph, super_node
 
 
 def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
@@ -255,7 +206,7 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
                           "rho": rho})
         if not merges:
             break
-        for i, j, order, window in merges:
-            graph, super_node = merge_pair(graph, i, j, order, window, params.tau_mode)
-            history.records.append(MergeRecord(super_node.id, i, j, order, window))
+        graph, supers = graph.contract(merges, params.tau_mode)
+        history.records.extend(MergeRecord(sup.id, i, j, order, window)
+                               for sup, (i, j, order, window) in zip(supers, merges))
     return graph, history

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from .instances import Instance
 
 DEPOT_ID = 0
+TAU_MODES = ("midpoint", "conservative")
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,9 @@ def nominal_visit_time(node, policy: str = "midpoint") -> float:
 
     midpoint: halfway between the earliest start and the latest start that
     still finishes by the deadline, i.e. (ready + (due - service)) / 2.
-    earliest: just the window open.
     """
     if policy == "midpoint":
         return (node.ready + (node.due - node.service)) / 2.0
-    if policy == "earliest":
-        return node.ready
     raise ValueError(f"unknown nominal time policy: {policy!r}")
 
 
@@ -68,15 +66,14 @@ class Graph:
         self.name = name
 
     @classmethod
-    def from_instance(cls, instance: Instance, nominal_policy: str = "midpoint") -> "Graph":
+    def from_instance(cls, instance: Instance) -> "Graph":
         d = instance.depot
         depot = CoarseNode(d.id, "depot", d.x, d.y, 0.0, 0.0, d.ready, d.due,
-                           nominal_visit_time(d, nominal_policy), (d.id,))
+                           nominal_visit_time(d), (d.id,))
         nodes = {}
         for c in instance.customers:
             nodes[c.id] = CoarseNode(c.id, "customer", c.x, c.y, c.demand, c.service,
-                                     c.ready, c.due, nominal_visit_time(c, nominal_policy),
-                                     (c.id,))
+                                     c.ready, c.due, nominal_visit_time(c), (c.id,))
         everything = [depot, *nodes.values()]
         tau = {}
         for i, a in enumerate(everything):
@@ -104,6 +101,53 @@ class Graph:
         if a == b:
             return 0.0
         return self._tau[_tau_key(a, b)]
+
+    def contract(self, merges, tau_mode: str = "midpoint"):
+        """Apply one round of disjoint (i, j, order, window) merges in list
+        order; returns (graph, supers).
+
+        Each super-node takes the next free id, sits at its children's
+        midpoint, sums their demand and gets the given window. With
+        tau_mode="midpoint" its service time is the children's sum and travel
+        times are measured from the midpoint. With "conservative" the internal
+        leg joins the service time (s_first + tau_ij + s_second) and travel to
+        any third node is the worst case of the two children, so a coarse
+        schedule never promises more than the expanded route delivers.
+        """
+        if tau_mode not in TAU_MODES:
+            raise ValueError(f"unknown tau mode: {tau_mode!r}")
+        # id order; each new super-node has the largest id, so it stays sorted
+        nodes = {nid: self._nodes[nid] for nid in sorted(self._nodes)}
+        tau = dict(self._tau)
+        supers = []
+        for i, j, order, window in merges:
+            if set(order) != {i, j} or i == j:
+                raise ValueError("order must permute the merged pair")
+            a, b = nodes.pop(order[0]), nodes.pop(order[1])
+            tau_ij = tau.pop(_tau_key(i, j))
+            ready, due = window
+            if tau_mode == "midpoint":
+                service = a.service + b.service
+            else:
+                service = a.service + tau_ij + b.service
+            super_node = CoarseNode(
+                id=max([self.depot.id, i, j, *nodes]) + 1, kind="supernode",
+                x=(a.x + b.x) / 2.0, y=(a.y + b.y) / 2.0,
+                demand=a.demand + b.demand, service=service,
+                ready=ready, due=due, nominal_t=(ready + due) / 2.0,
+                members=a.members + b.members,
+            )
+            for other in [self.depot, *nodes.values()]:
+                t_i = tau.pop(_tau_key(i, other.id))
+                t_j = tau.pop(_tau_key(j, other.id))
+                if tau_mode == "midpoint":
+                    t = travel_time(super_node, other)
+                else:
+                    t = max(t_i, t_j)
+                tau[_tau_key(super_node.id, other.id)] = t
+            nodes[super_node.id] = super_node
+            supers.append(super_node)
+        return Graph(self.depot, nodes, tau, name=self.name), supers
 
     def extent(self) -> float:
         """Largest bounding-box dimension over every node, depot included."""

@@ -12,19 +12,18 @@ class InflationError(ValueError):
 
 
 def inflate(solution: Solution, history: MergeHistory, original: Graph) -> Solution:
-    """Replay the merge history newest-first, substituting each super-node
-    in place with its two children in their recorded service order, then
-    rebuild all schedules on the original graph's travel times.
+    """Expand each super-node in place into its original customers, in their
+    recorded service order, then rebuild all schedules on the original
+    graph's travel times.
 
     Route count and stop order are preserved; records whose super-node never
     appears in any route are simply skipped.
     """
-    stop_lists = [list(r.stops) for r in solution.routes]
-    for rec in history.newest_first():
-        for stops in stop_lists:
-            for pos in range(len(stops) - 1, -1, -1):
-                if stops[pos] == rec.super_id:
-                    stops[pos:pos + 1] = list(rec.order)
+    expand = {}
+    for rec in history:   # oldest first: a nested child is already expanded
+        expand[rec.super_id] = [s for c in rec.order for s in expand.get(c, (c,))]
+    stop_lists = [[s for stop in r.stops for s in expand.get(stop, (stop,))]
+                  for r in solution.routes]
     known = {DEPOT_ID, *original.customer_ids()}
     for stops in stop_lists:
         for s in stops:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,8 @@ def _numbers(line: str) -> list[float]:
             out.append(float(tok))
         except ValueError:
             return []
+    if not all(map(math.isfinite, out)):   # NaN would pass every range check
+        raise InstanceError(f"non-finite number in row {line!r}")
     return out
 
 
@@ -98,6 +101,8 @@ def parse_solomon(text: str, name: str | None = None) -> Instance:
     for ln in stripped[ci + 1:]:
         nums = _numbers(ln)
         if len(nums) >= 7:
+            if not nums[0].is_integer():
+                raise InstanceError(f"{title}: customer id {nums[0]} is not an integer")
             rows.append(Customer(int(nums[0]), nums[1], nums[2], nums[3],
                                  nums[4], nums[5], nums[6]))
     if not rows:
@@ -157,9 +162,11 @@ def write_solomon(instance: Instance) -> str:
 # ---------------------------------------------------------------------------
 # solution documents
 
-def build_solution_document(solution, graph, metrics, params, seed=0, timings=None) -> dict:
+def build_solution_document(solution, instance, metrics, params, seed=0, timings=None) -> dict:
     """Assemble the JSON-ready document for one solved instance.
 
+    `instance` is anything with a `name`, a `depot` and `customers` that
+    carry id/x/y: the `Instance` itself or a `Graph` built from it.
     `params` is a mapping with keys alpha/beta/p/radius_coeff/propagation/solver
     (missing keys are recorded as null). A `nodes` coordinate block is included
     so plotting needs nothing but the document.
@@ -174,11 +181,11 @@ def build_solution_document(solution, graph, metrics, params, seed=0, timings=No
                   "departure": st.departure}
                  for nid, st in zip(route.stops, route.schedule)]
         routes.append({"vehicle": k, "stops": stops})
-    nodes = {str(graph.depot.id): {"x": graph.depot.x, "y": graph.depot.y}}
-    for node in graph.customers:
+    nodes = {str(instance.depot.id): {"x": instance.depot.x, "y": instance.depot.y}}
+    for node in instance.customers:
         nodes[str(node.id)] = {"x": node.x, "y": node.y}
     return {
-        "instance": graph.name,
+        "instance": instance.name,
         "seed": seed,
         "params": {k: params.get(k) for k in
                    ("alpha", "beta", "p", "radius_coeff", "propagation", "solver")},

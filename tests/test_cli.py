@@ -50,6 +50,26 @@ def test_solve_bad_instance_is_validation_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "baseline"])
+@pytest.mark.parametrize("token", ["nan", "inf", "1.9"])
+def test_poisoned_instance_is_validation_error(tmp_path, instance_file, capsys,
+                                               command, token):
+    lines = instance_file.read_text().splitlines()
+    first = next(k for k, ln in enumerate(lines) if ln.split()[:1] == ["1"])
+    cols = lines[first].split()
+    if token == "1.9":
+        cols[0] = token                  # non-integer customer id
+    else:
+        cols[1] = token                  # x coordinate
+    lines[first] = "   ".join(cols)
+    bad = tmp_path / "poisoned.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main([command, str(bad), "-o", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_solve_p_one_matches_baseline(tmp_path, instance_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["solve", str(instance_file), "--p", "1.0",

@@ -372,3 +372,7 @@ def test_coarsen_structure_replay(tau_mode, propagation):
         for i in replayed.customer_ids():
             a, b = replayed.node(i), cg.node(i)
             assert a == b
+        ids = [0, *cg.customer_ids()]
+        for k, i in enumerate(ids):
+            for j in ids[k + 1:]:
+                assert replayed.tau(i, j) == cg.tau(i, j)

@@ -65,6 +65,21 @@ def test_parse_rejects_bad_rows():
         parse_solomon(heavy)
 
 
+@pytest.mark.parametrize("bad,match", [
+    ("    1      nan        68", "non-finite"),
+    ("    1      45         inf", "non-finite"),
+    ("    1.9    45         68", "customer id 1.9"),
+], ids=["nan", "inf", "id-1.9"])
+def test_parse_rejects_poisoned_customer_rows(bad, match):
+    with pytest.raises(InstanceError, match=match):
+        parse_solomon(SOLOMON_TOY.replace("    1      45         68", bad))
+
+
+def test_parse_rejects_non_finite_capacity():
+    with pytest.raises(InstanceError, match="non-finite"):
+        parse_solomon(SOLOMON_TOY.replace("  25         200", "  25         nan"))
+
+
 def test_echo_round_trip():
     inst = parse_solomon(SOLOMON_TOY)
     assert parse_solomon(write_solomon(inst)) == inst
