@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, combinations, product
 
 from .graph import TAU_MODES, CoarseNode, Graph
 
@@ -84,7 +85,9 @@ def st_distance(i: CoarseNode, j: CoarseNode, tau_ij: float,
 
 def pair_weight(i: CoarseNode, j: CoarseNode, tau_ij: float,
                 params: CoarseningParams) -> float:
-    return st_distance(i, j, tau_ij, params.alpha, params.beta)
+    """alpha*tau + beta*|t_i - t_j|, i.e. st_distance in nominal mode, written
+    out because the candidate scan calls it once per pair."""
+    return params.alpha * tau_ij + params.beta * abs(i.nominal_t - j.nominal_t)
 
 
 def merge_feasibility(i: CoarseNode, j: CoarseNode, tau_ij: float) -> tuple[bool, bool]:
@@ -160,15 +163,84 @@ def merge_pair(graph: Graph, i: int, j: int, order: tuple[int, int],
     return graph, super_node
 
 
+# Why the grid in `candidate_pairs` drops no candidate. A candidate has
+# alpha*tau <= rho and beta*|dt| <= rho (both terms of its weight are >= 0),
+# and tau >= the distance between the two positions: midpoint tau is that
+# distance, and conservative tau is a max over the children, which by
+# convexity is at least the distance to their midpoint. So its coordinates
+# differ by at most one cell side, rho/alpha in space and rho/beta in time,
+# and values at most one side apart land in the same or adjacent cells. The
+# float rounding in those bounds is a few ulps relative, and the cell index
+# stays below _MAX_CELLS, so its rounding error is below 2**-30; the cells
+# are widened by _CELL_MARGIN, far more than both.
+_CELL_MARGIN = 1e-6
+_MAX_CELLS = 1 << 20
+_FORWARD_NEIGHBOURS = [(dx, dy, dt) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                       for dt in (-1, 0, 1) if (dx, dy, dt) > (0, 0, 0)]
+
+
+def _cells(values, weight: float, rho: float) -> list[int]:
+    """Cell index of each value on a grid of side rho/weight; one cell if weight is 0."""
+    lo = min(values)
+    side = max(rho / weight if weight else math.inf, (max(values) - lo) / _MAX_CELLS)
+    if not 0 < side < math.inf:         # weight 0, or overflow, or all values equal
+        return [0] * len(values)
+    side *= 1 + _CELL_MARGIN
+    return [int((v - lo) // side) for v in values]
+
+
+def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
+    """Customer pairs (w, i, j), i < j, with pair_weight w <= rho, sorted;
+    none when rho is 0.
+
+    Customers are bucketed on a grid over (x, y, nominal_t) with spatial side
+    rho/alpha and temporal side rho/beta, and only pairs in the same or
+    adjacent cells are weighed; the pruning is exact (see _CELL_MARGIN).
+    Returns (candidates, pairs_scanned), the latter counting weighed pairs.
+    """
+    nodes = graph.customers
+    if rho <= 0 or len(nodes) < 2:
+        return [], 0
+    keys = zip(_cells([n.x for n in nodes], params.alpha, rho),
+               _cells([n.y for n in nodes], params.alpha, rho),
+               _cells([n.nominal_t for n in nodes], params.beta, rho))
+    cells = {}
+    for node, key in zip(nodes, keys):
+        cells.setdefault(key, []).append(node)
+    blocks = []
+    for (x, y, t), members in cells.items():
+        blocks.append(combinations(members, 2))
+        for dx, dy, dt in _FORWARD_NEIGHBOURS:
+            other = cells.get((x + dx, y + dy, t + dt))
+            if other is not None:
+                blocks.append(product(members, other))
+    candidates = []
+    scanned = 0
+    for a, b in chain.from_iterable(blocks):
+        if a.id > b.id:
+            a, b = b, a
+        scanned += 1
+        w = pair_weight(a, b, graph.tau(a.id, b.id), params)
+        if w <= rho:
+            candidates.append((w, a.id, b.id))
+    candidates.sort()
+    return candidates, scanned
+
+
 def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     """Shrink the graph to at most p_target of its customer count.
 
-    Each round: rank all customer pairs by spatio-temporal distance, keep
-    those within the merge radius, then greedily match (each node once,
-    depot never, infeasible orders and empty conservative windows skipped)
-    and apply every matched merge. Stops at the target size or as soon as a
-    round produces no merge. Returns (coarse_graph, history); `trace`, when
-    given, collects one summary dict per round.
+    Each round: rank the customer pairs within the merge radius by
+    spatio-temporal distance, then greedily match (each node once, depot
+    never, infeasible orders and empty conservative windows skipped) and
+    apply every matched merge. A pair within the radius has alpha*tau and
+    beta*|dt| both <= rho, so only pairs in neighbouring cells of a grid
+    with sides rho/alpha and rho/beta are weighed, and a round costs
+    O(cells + pairs in neighbouring cells + entries of the final graph).
+    Stops at the target size or as soon as a round produces no merge.
+    Returns (coarse_graph, history); `trace`, when given, collects one
+    summary dict per round, and the last one gets "stop": "target" or
+    "stalled".
     """
     n0 = graph.customer_count
     history = MergeHistory()
@@ -176,16 +248,7 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     while graph.customer_count > params.p_target * n0:
         rounds += 1
         rho = radius_threshold(graph, params.radius_coeff)
-        ids = graph.customer_ids()
-        candidates = []
-        if rho > 0:
-            for ai, i in enumerate(ids):
-                ni = graph.node(i)
-                for j in ids[ai + 1:]:
-                    w = pair_weight(ni, graph.node(j), graph.tau(i, j), params)
-                    if w <= rho:
-                        candidates.append((w, i, j))
-        candidates.sort()
+        candidates, scanned = candidate_pairs(graph, params, rho)
         used = set()
         merges = []
         for _, i, j in candidates:
@@ -202,11 +265,14 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
             merges.append((i, j, (order[0].id, order[1].id), window))
         if trace is not None:
             trace.append({"round": rounds, "nodes_before": graph.customer_count,
-                          "candidates": len(candidates), "merges_applied": len(merges),
-                          "rho": rho})
+                          "pairs_scanned": scanned, "candidates": len(candidates),
+                          "merges_applied": len(merges), "rho": rho})
         if not merges:
             break
         graph, supers = graph.contract(merges, params.tau_mode)
         history.records.extend(MergeRecord(sup.id, i, j, order, window)
                                for sup, (i, j, order, window) in zip(supers, merges))
+    if trace is not None and rounds:
+        stalled = graph.customer_count > params.p_target * n0
+        trace[-1]["stop"] = "stalled" if stalled else "target"
     return graph, history

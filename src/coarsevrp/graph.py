@@ -106,48 +106,71 @@ class Graph:
         """Apply one round of disjoint (i, j, order, window) merges in list
         order; returns (graph, supers).
 
-        Each super-node takes the next free id, sits at its children's
-        midpoint, sums their demand and gets the given window. With
-        tau_mode="midpoint" its service time is the children's sum and travel
-        times are measured from the midpoint. With "conservative" the internal
-        leg joins the service time (s_first + tau_ij + s_second) and travel to
-        any third node is the worst case of the two children, so a coarse
-        schedule never promises more than the expanded route delivers.
+        Each merge names two customers of this graph that no earlier merge of
+        the call named. Each super-node takes the next free id, sits at its
+        children's midpoint, sums their demand and gets the given window.
+        With tau_mode="midpoint" its service time is the children's sum and
+        travel times are measured from the midpoint. With "conservative" the
+        internal leg joins the service time (s_first + tau_ij + s_second) and
+        travel to any other node is the worst case over the children, so a
+        coarse schedule never promises more than the expanded route delivers.
+
+        The travel-time table is built once, for the final graph only: the
+        entries between surviving nodes are kept, and each super-node gets
+        one entry per node of the final graph (depot, survivors and the
+        round's earlier supers). A round costs O(parent entries + merges ×
+        final nodes), not a rewrite of the table per merge.
         """
         if tau_mode not in TAU_MODES:
             raise ValueError(f"unknown tau mode: {tau_mode!r}")
         # id order; each new super-node has the largest id, so it stays sorted
         nodes = {nid: self._nodes[nid] for nid in sorted(self._nodes)}
-        tau = dict(self._tau)
+        top = max(self._nodes, default=self.depot.id)
         supers = []
         for i, j, order, window in merges:
             if set(order) != {i, j} or i == j:
                 raise ValueError("order must permute the merged pair")
+            for nid in (i, j):
+                if nid not in self._nodes:
+                    raise ValueError(f"node {nid} is not a customer of this graph")
+                if nid not in nodes:
+                    raise ValueError(f"node {nid} is merged twice in one round")
             a, b = nodes.pop(order[0]), nodes.pop(order[1])
-            tau_ij = tau.pop(_tau_key(i, j))
             ready, due = window
             if tau_mode == "midpoint":
                 service = a.service + b.service
             else:
-                service = a.service + tau_ij + b.service
+                service = a.service + self._tau[_tau_key(i, j)] + b.service
+            top += 1
             super_node = CoarseNode(
-                id=max([self.depot.id, i, j, *nodes]) + 1, kind="supernode",
+                id=top, kind="supernode",
                 x=(a.x + b.x) / 2.0, y=(a.y + b.y) / 2.0,
                 demand=a.demand + b.demand, service=service,
                 ready=ready, due=due, nominal_t=(ready + due) / 2.0,
                 members=a.members + b.members,
             )
-            for other in [self.depot, *nodes.values()]:
-                t_i = tau.pop(_tau_key(i, other.id))
-                t_j = tau.pop(_tau_key(j, other.id))
-                if tau_mode == "midpoint":
-                    t = travel_time(super_node, other)
-                else:
-                    t = max(t_i, t_j)
-                tau[_tau_key(super_node.id, other.id)] = t
-            nodes[super_node.id] = super_node
-            supers.append(super_node)
-        return Graph(self.depot, nodes, tau, name=self.name), supers
+            supers.append((super_node, (i, j)))
+        merged = {nid for _, children in supers for nid in children}
+        # the entries between surviving nodes; the filtered copy reuses the
+        # parent's key tuples instead of building new ones
+        tau = {key: t for key, t in self._tau.items()
+               if key[0] not in merged and key[1] not in merged}
+        # (final node, the nodes of this graph it covers); a super-node's id
+        # exceeds every id before it, so its keys are (other.id, sid)
+        finals = [(self.depot, (self.depot.id,))]
+        finals.extend((n, (n.id,)) for n in nodes.values())
+        for super_node, children in supers:
+            sid = super_node.id
+            if tau_mode == "midpoint":
+                for other, _ in finals:
+                    tau[(other.id, sid)] = travel_time(super_node, other)
+            else:
+                for other, others in finals:
+                    tau[(other.id, sid)] = max([self._tau[_tau_key(c, o)]
+                                                for c in children for o in others])
+            finals.append((super_node, children))
+            nodes[sid] = super_node
+        return Graph(self.depot, nodes, tau, name=self.name), [s for s, _ in supers]
 
     def extent(self) -> float:
         """Largest bounding-box dimension over every node, depot included."""

@@ -85,6 +85,8 @@ def parse_solomon(text: str, name: str | None = None) -> Instance:
     for ln in stripped[vi + 1:]:
         nums = _numbers(ln)
         if len(nums) >= 2:
+            if not nums[0].is_integer():
+                raise InstanceError(f"{title}: vehicle count {nums[0]} is not an integer")
             fleet = (int(nums[0]), nums[1])
             break
         if ln == "CUSTOMER":

@@ -63,6 +63,7 @@ class PipelineResult:
     metrics: Metrics
     score: float
     timings: dict = field(default_factory=dict)
+    coarsening: list = field(default_factory=list)   # coarsen's per-round trace
 
 
 def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
@@ -70,8 +71,9 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
     """coarsen -> solve on the small graph -> inflate -> light repairs -> score."""
     solve_fn = SOLVERS[solver]
     graph = Graph.from_instance(instance)
+    rounds = []
     t0 = time.perf_counter()
-    coarse_graph, history = coarsen(graph, params)
+    coarse_graph, history = coarsen(graph, params, trace=rounds)
     t1 = time.perf_counter()
     coarse_solution = solve_fn(coarse_graph, instance.capacity)
     t2 = time.perf_counter()
@@ -85,7 +87,8 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
         coarse_metrics=coarse_metrics, metrics=metrics,
         score=objective_score(metrics, weights),
         timings={"coarsen_ms": (t1 - t0) * 1e3, "solve_ms": (t2 - t1) * 1e3,
-                 "inflate_ms": (t3 - t2) * 1e3})
+                 "inflate_ms": (t3 - t2) * 1e3},
+        coarsening=rounds)
 
 
 def solve_baseline(instance: Instance, solver: str) -> tuple[Solution, Metrics, float, dict]:

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import coarsevrp
 from coarsevrp.cli import main
 from coarsevrp.instances import read_solution, write_solomon
 from coarsevrp.report import REFERENCE_IMPROVEMENTS
@@ -48,6 +51,18 @@ def test_solve_bad_instance_is_validation_error(tmp_path, capsys):
     bad.write_text("junk\nwith no sections\n")
     rc = main(["solve", str(bad)])
     assert rc == 2
+
+
+def test_solve_non_integer_vehicle_count_is_validation_error(tmp_path, instance_file, capsys):
+    lines = instance_file.read_text().splitlines()
+    fleet = lines.index("VEHICLE") + 2                 # the NUMBER/CAPACITY row
+    lines[fleet] = "  2.5   " + lines[fleet].split()[1]
+    bad = tmp_path / "fleet.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["solve", str(bad), "-o", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "vehicle count" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command", ["solve", "baseline"])
@@ -221,8 +236,12 @@ def test_report_includes_reference_for_known_names(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path, instance_file):
     out = tmp_path / "s.json"
+    # the child imports the same copy of the package as this test
+    src = str(Path(coarsevrp.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "coarsevrp.cli", "solve",
                            str(instance_file), "-o", str(out)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

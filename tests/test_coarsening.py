@@ -2,13 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coarsevrp.coarsening import (CoarseningParams, MergeRecord, aggregate_window,
-                                  choose_direction, coarsen, merge_feasibility,
-                                  merge_pair, merge_slack, pair_weight,
+                                  candidate_pairs, choose_direction, coarsen,
+                                  merge_feasibility, merge_pair, merge_slack, pair_weight,
                                   radius_threshold, st_distance,
                                   temporal_separation)
-from coarsevrp.graph import CoarseNode, Graph, travel_time
+from coarsevrp.graph import TAU_MODES, CoarseNode, Graph, travel_time
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -261,6 +263,7 @@ def test_coarsen_unit_square_two_supers():
     assert [r.order for r in hist] == [(1, 2), (3, 4)]
     assert [r.super_id for r in hist] == [5, 6]
     assert trace[0]["merges_applied"] == 2
+    assert trace[0]["stop"] == "target"
     assert sorted(g2.node(5).members + g2.node(6).members) == [1, 2, 3, 4]
 
 
@@ -278,6 +281,7 @@ def test_coarsen_halts_on_conservative_veto():
     assert g2.customer_ids() == [1, 2]
     assert trace[-1]["merges_applied"] == 0
     assert trace[-1]["candidates"] >= 1       # the pair was close enough, just vetoed
+    assert trace[-1]["stop"] == "stalled"
 
 
 def test_coarsen_zero_radius_makes_no_candidates():
@@ -376,3 +380,123 @@ def test_coarsen_structure_replay(tau_mode, propagation):
         for k, i in enumerate(ids):
             for j in ids[k + 1:]:
                 assert replayed.tau(i, j) == cg.tau(i, j)
+
+
+# ---------------------------------------------------------------------------
+# grid-pruned candidate scan (property tests)
+
+def _full_scan(graph, params, rho):
+    """Every customer pair weighed, the way coarsen ranked them before pruning."""
+    ids = graph.customer_ids() if rho > 0 else []      # radius 0 proposes nothing
+    out = []
+    for k, i in enumerate(ids):
+        for j in ids[k + 1:]:
+            w = st_distance(graph.node(i), graph.node(j), graph.tau(i, j),
+                            params.alpha, params.beta)
+            if w <= rho:
+                out.append((w, i, j))
+    return sorted(out)
+
+
+def _graph_of(points, windows, horizon=1000.0):
+    depot = Customer(0, 0.0, 0.0, 0, 0, horizon, 0)
+    cs = tuple(Customer(k + 1, x, y, 1, ready, ready + width, service)
+               for k, ((x, y), (ready, width, service)) in enumerate(zip(points, windows)))
+    return Graph.from_instance(Instance("prop", 5, 100.0, depot, cs))
+
+
+coordinate = st.one_of(st.integers(0, 12).map(float),
+                       st.floats(0, 100, allow_nan=False, allow_infinity=False))
+weights = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(0, 2))
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(2, 30))
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+    windows = draw(st.lists(st.tuples(st.integers(0, 500), st.integers(0, 300),
+                                      st.integers(0, 20)), min_size=n, max_size=n))
+    graph = _graph_of(points, windows)
+    # optionally contract a few pairs first, so super-nodes and worst-case
+    # (conservative) travel times are scanned too
+    tau_mode = draw(st.sampled_from(TAU_MODES))
+    ids = draw(st.permutations(graph.customer_ids()))
+    k = draw(st.integers(0, n // 2))
+    merges = [(i, j, (i, j), (0.0, float(draw(st.integers(0, 900)))))
+              for i, j in zip(ids[:k], ids[k:2 * k])]
+    graph, _ = graph.contract(merges, tau_mode)
+    alpha, beta = draw(weights), draw(weights)
+    assume(alpha + beta > 0)
+    params = CoarseningParams(alpha=alpha, beta=beta, tau_mode=tau_mode)
+    rho = draw(st.one_of(st.floats(0, 150), st.integers(0, 30).map(float)))
+    return graph, params, rho
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_pruned_scan_equals_full_scan(case):
+    graph, params, rho = case
+    candidates, scanned = candidate_pairs(graph, params, rho)
+    assert candidates == _full_scan(graph, params, rho)
+    n = graph.customer_count
+    assert len(candidates) <= scanned <= n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("weight", [0.3, 0.5, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize("rho", [0.1, 1.0, 3.7, 12.5])
+def test_scan_keeps_pairs_one_cell_side_apart(weight, rho):
+    # customers a cell side apart (rho/alpha in x, then rho/beta in nominal
+    # time) behind an anchor at 0, so every neighbouring pair straddles a cell
+    # boundary, at offsets that put the first one just below a boundary too
+    side = rho / weight
+    offsets = [k / 16 for k in range(16)] + [1 - 10.0**-k for k in range(2, 13, 2)]
+    boundary_pairs = 0
+    for offset in offsets:
+        xs = [0.0] + [(offset + k) * side for k in range(6)]
+        spatial = _graph_of([(x, 0.0) for x in xs], [(100, 50, 0)] * 7)
+        temporal = _graph_of([(5.0, 5.0)] * 7, [(x, 0, 0) for x in xs])
+        for g, params in ((spatial, CoarseningParams(alpha=weight, beta=0.0)),
+                          (temporal, CoarseningParams(alpha=0.0, beta=weight))):
+            candidates, _ = candidate_pairs(g, params, rho)
+            assert candidates == _full_scan(g, params, rho)
+            boundary_pairs += sum(i > 1 and j == i + 1 for _, i, j in candidates)
+    # neighbours sit at w ~ rho; rounding pushes some of them just past it
+    assert boundary_pairs >= 2 * len(offsets)
+
+
+@pytest.mark.parametrize("alpha,rho", [(1e300, 1e-30), (1e-320, 1.0), (0.5, 1e300)])
+def test_scan_survives_degenerate_cell_sides(alpha, rho):
+    # cell sides that underflow to 0 on a flat axis or overflow to inf
+    g = _graph_of([(float(k), 0.0) for k in range(6)], [(0, 500, 5)] * 6)
+    params = CoarseningParams(alpha=alpha, beta=0.5)
+    candidates, _ = candidate_pairs(g, params, rho)
+    assert candidates == _full_scan(g, params, rho)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 40),
+       alpha=st.sampled_from([0.0, 0.1, 0.5, 0.9]), beta=st.sampled_from([0.0, 0.1, 0.5]))
+def test_pairs_scanned_is_all_pairs_when_rho_covers_the_extent(seed, n, alpha, beta):
+    assume(alpha + beta > 0)
+    g = Graph.from_instance(gen.random_instance(seed, n))
+    times = [c.nominal_t for c in g.customers]
+    t_extent = max(times) - min(times)
+    # rho = radius_coeff * extent / sqrt(n) >= alpha * extent and >= beta * t_extent
+    coeff = math.sqrt(n) * max(alpha, beta * t_extent / g.extent()) + 1.0
+    trace = []
+    coarsen(g, CoarseningParams(alpha=alpha, beta=beta, p_target=0.5,
+                                radius_coeff=coeff), trace=trace)
+    assert trace[0]["pairs_scanned"] == n * (n - 1) // 2
+    for r in trace:
+        m = r["nodes_before"]
+        assert r["candidates"] <= r["pairs_scanned"] <= m * (m - 1) // 2
+
+
+def test_trace_reports_pairs_scanned_and_stop():
+    g = Graph.from_instance(gen.random_instance(5, 60, family="clustered"))
+    trace = []
+    cg, _ = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3,
+                                        radius_coeff=1.0), trace=trace)
+    assert trace[0]["pairs_scanned"] < 60 * 59 // 2
+    assert [r.get("stop") for r in trace[:-1]] == [None] * (len(trace) - 1)
+    assert trace[-1]["stop"] == ("target" if cg.customer_count <= 0.3 * 60 else "stalled")

@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coarsevrp.graph import (CoarseNode, Graph, nominal_visit_time,
+from coarsevrp.coarsening import merge_pair
+from coarsevrp.graph import (TAU_MODES, CoarseNode, Graph, nominal_visit_time,
                              recompute_schedule, travel_time)
 from coarsevrp.instances import Customer, Instance
 
@@ -128,3 +131,69 @@ def test_waiting_only_when_early():
         if st.wait > 0:
             assert st.arrival < node_.ready
             assert abs(st.service_start - node_.ready) < TOL
+
+
+# ---------------------------------------------------------------------------
+# Graph.contract: one batched round equals the same merges one at a time
+
+def _random_round(graph, ids, flips, k):
+    """k disjoint merges over `ids`, in that order, each with some window."""
+    merges = []
+    for (i, j), flip in zip(zip(ids[:k], ids[k:2 * k]), flips):
+        a, b = graph.node(i), graph.node(j)
+        merges.append((i, j, (j, i) if flip else (i, j),
+                       (min(a.ready, b.ready), max(a.due, b.due))))
+    return merges
+
+
+def _same_graph(g, h):
+    assert g.customers == h.customers               # same nodes, in the same order
+    ids = [0, *g.customer_ids()]
+    for k, i in enumerate(ids):
+        for j in ids[k + 1:]:
+            assert g.tau(i, j) == h.tau(i, j), (i, j)
+    # and nothing else: one entry per pair of nodes of the final graph
+    assert len(g._tau) == len(h._tau) == len(ids) * (len(ids) - 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 45),
+       tau_mode=st.sampled_from(TAU_MODES), data=st.data())
+def test_contract_round_equals_merges_one_at_a_time(seed, n, tau_mode, data):
+    g = Graph.from_instance(gen.random_instance(seed, n, family="mixed"))
+    for _ in range(2):            # the second round merges super-nodes too
+        ids = data.draw(st.permutations(g.customer_ids()))
+        if len(ids) < 2:
+            break
+        k = data.draw(st.integers(1, len(ids) // 2))
+        flips = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        merges = _random_round(g, ids, flips, k)
+        batched, supers = g.contract(merges, tau_mode)
+        one_by_one = g
+        for (i, j, order, window), batched_super in zip(merges, supers):
+            one_by_one, sup = merge_pair(one_by_one, i, j, order, window, tau_mode)
+            assert sup == batched_super
+        top = max(g.customer_ids())
+        assert [s.id for s in supers] == list(range(top + 1, top + 1 + k))
+        _same_graph(batched, one_by_one)
+        g = batched
+
+
+def test_contract_rejects_unknown_and_overlapping_merges():
+    g = Graph.from_instance(gen.random_instance(4, 6))
+    w = (0.0, 100.0)
+    bad_rounds = [
+        [(1, 2, (1, 2), w), (2, 3, (2, 3), w)],       # 2 merged twice
+        [(1, 2, (1, 2), w), (3, 1, (1, 3), w)],       # 1 merged twice
+        [(0, 1, (0, 1), w)],                           # the depot
+        [(1, 9, (1, 9), w)],                           # no such node
+        [(1, 2, (1, 2), w), (7, 3, (7, 3), w)],       # a super made in this call
+        [(1, 2, (2, 3), w)],                           # order is not the pair
+        [(4, 4, (4, 4), w)],                           # a node with itself
+    ]
+    for merges in bad_rounds:
+        with pytest.raises(ValueError):
+            g.contract(merges)
+    sub, _ = g.contract([(1, 2, (1, 2), w)])
+    with pytest.raises(ValueError):
+        sub.contract([(1, 3, (1, 3), w)])               # merged in an earlier round

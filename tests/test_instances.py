@@ -80,6 +80,12 @@ def test_parse_rejects_non_finite_capacity():
         parse_solomon(SOLOMON_TOY.replace("  25         200", "  25         nan"))
 
 
+def test_parse_rejects_non_integer_vehicle_count():
+    with pytest.raises(InstanceError, match="vehicle count 2.5"):
+        parse_solomon(SOLOMON_TOY.replace("  25         200", "  2.5        200"))
+    assert parse_solomon(SOLOMON_TOY.replace("  25         200", "  2.0        200")).vehicle_count == 2
+
+
 def test_echo_round_trip():
     inst = parse_solomon(SOLOMON_TOY)
     assert parse_solomon(write_solomon(inst)) == inst

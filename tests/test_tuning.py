@@ -57,6 +57,18 @@ def test_run_pipeline_stages_and_timings():
     assert out.score >= out.metrics.total_distance
 
 
+def test_run_pipeline_carries_the_coarsening_trace():
+    inst = gen.random_instance(12, 30, family="clustered")
+    out = run_pipeline(inst, CoarseningParams(p_target=0.4, radius_coeff=2.0), "savings")
+    rounds = out.coarsening
+    assert [r["round"] for r in rounds] == list(range(1, len(rounds) + 1))
+    assert all(r["pairs_scanned"] <= r["nodes_before"] * (r["nodes_before"] - 1) // 2
+               for r in rounds)
+    reached = out.coarse_graph.customer_count <= 0.4 * 30
+    assert rounds[-1]["stop"] == ("target" if reached else "stalled")
+    assert run_pipeline(inst, CoarseningParams(p_target=1.0), "savings").coarsening == []
+
+
 def test_pipeline_with_p_one_equals_baseline():
     inst = gen.random_instance(15, 25)
     out = run_pipeline(inst, CoarseningParams(p_target=1.0), "savings")
