@@ -37,6 +37,10 @@ def cmd_solve(args) -> int:
                               radius_coeff=args.radius, propagation=args.propagation)
     out = run_pipeline(instance, params, args.solver)
     print(_summary_line(instance.name, out.metrics, out.score))
+    if out.coarsening and out.coarsening[-1]["stop"] == "stalled":
+        n0 = len(instance.customers)
+        print(f"warning: coarsening stalled at {out.coarse_graph.customer_count} nodes "
+              f"(started with {n0}, target {int(args.p * n0)})", file=sys.stderr)
     doc = build_solution_document(
         out.solution, instance, out.metrics,
         {"alpha": args.alpha, "beta": args.beta, "p": args.p,

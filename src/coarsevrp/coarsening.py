@@ -235,8 +235,8 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     never, infeasible orders and empty conservative windows skipped) and
     apply every matched merge. A pair within the radius has alpha*tau and
     beta*|dt| both <= rho, so only pairs in neighbouring cells of a grid
-    with sides rho/alpha and rho/beta are weighed, and a round costs
-    O(cells + pairs in neighbouring cells + entries of the final graph).
+    with sides rho/alpha and rho/beta are weighed: a round costs O(cells +
+    pairs in neighbouring cells), plus Graph.contract's conservative entries.
     Stops at the target size or as soon as a round produces no merge.
     Returns (coarse_graph, history); `trace`, when given, collects one
     summary dict per round, and the last one gets "stop": "target" or

@@ -45,15 +45,12 @@ def nominal_visit_time(node, policy: str = "midpoint") -> float:
     raise ValueError(f"unknown nominal time policy: {policy!r}")
 
 
-def _tau_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
 class Graph:
-    """Depot plus customer/super nodes with an explicit symmetric travel-time store.
+    """Depot plus customer/super nodes with symmetric travel times.
 
-    Travel times are kept per pair rather than derived from coordinates because
-    coarsening may install non-Euclidean (worst-case) times for super-nodes.
+    A travel time is the distance between the two nodes' positions unless the
+    pair has a stored entry, which only conservative contraction writes: a
+    conservative super-node's time is the worst case over its children.
     """
 
     def __init__(self, depot: CoarseNode, nodes: dict[int, CoarseNode],
@@ -67,6 +64,7 @@ class Graph:
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "Graph":
+        """One node per depot and customer; O(n), as no travel time is stored."""
         d = instance.depot
         depot = CoarseNode(d.id, "depot", d.x, d.y, 0.0, 0.0, d.ready, d.due,
                            nominal_visit_time(d), (d.id,))
@@ -74,12 +72,7 @@ class Graph:
         for c in instance.customers:
             nodes[c.id] = CoarseNode(c.id, "customer", c.x, c.y, c.demand, c.service,
                                      c.ready, c.due, nominal_visit_time(c), (c.id,))
-        everything = [depot, *nodes.values()]
-        tau = {}
-        for i, a in enumerate(everything):
-            for b in everything[i + 1:]:
-                tau[_tau_key(a.id, b.id)] = travel_time(a, b)
-        return cls(depot, nodes, tau, name=instance.name)
+        return cls(depot, nodes, {}, name=instance.name)
 
     def node(self, nid: int) -> CoarseNode:
         if nid == DEPOT_ID:
@@ -98,9 +91,13 @@ class Graph:
         return len(self._nodes)
 
     def tau(self, a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        return self._tau[_tau_key(a, b)]
+        if self._tau:           # most graphs store nothing: skip building the key
+            t = self._tau.get((a, b) if a < b else (b, a))
+            if t is not None:
+                return t
+        p = self._nodes[a] if a != DEPOT_ID else self.depot
+        q = self._nodes[b] if b != DEPOT_ID else self.depot
+        return math.hypot(p.x - q.x, p.y - q.y)
 
     def contract(self, merges, tau_mode: str = "midpoint"):
         """Apply one round of disjoint (i, j, order, window) merges in list
@@ -115,11 +112,12 @@ class Graph:
         travel to any other node is the worst case over the children, so a
         coarse schedule never promises more than the expanded route delivers.
 
-        The travel-time table is built once, for the final graph only: the
-        entries between surviving nodes are kept, and each super-node gets
-        one entry per node of the final graph (depot, survivors and the
-        round's earlier supers). A round costs O(parent entries + merges ×
-        final nodes), not a rewrite of the table per merge.
+        Midpoint travel times follow from the positions, so nothing is
+        stored for them. The parent's stored entries between surviving nodes
+        are kept, and in conservative mode each super-node gets one entry per
+        node of the final graph (depot, survivors and the round's earlier
+        supers). A call costs O(nodes) in midpoint mode, plus
+        O(stored entries + merges × final nodes) in conservative mode.
         """
         if tau_mode not in TAU_MODES:
             raise ValueError(f"unknown tau mode: {tau_mode!r}")
@@ -140,7 +138,7 @@ class Graph:
             if tau_mode == "midpoint":
                 service = a.service + b.service
             else:
-                service = a.service + self._tau[_tau_key(i, j)] + b.service
+                service = a.service + self.tau(i, j) + b.service
             top += 1
             super_node = CoarseNode(
                 id=top, kind="supernode",
@@ -151,25 +149,20 @@ class Graph:
             )
             supers.append((super_node, (i, j)))
         merged = {nid for _, children in supers for nid in children}
-        # the entries between surviving nodes; the filtered copy reuses the
-        # parent's key tuples instead of building new ones
+        # stored entries between surviving nodes, reusing the parent's key tuples
         tau = {key: t for key, t in self._tau.items()
                if key[0] not in merged and key[1] not in merged}
-        # (final node, the nodes of this graph it covers); a super-node's id
-        # exceeds every id before it, so its keys are (other.id, sid)
-        finals = [(self.depot, (self.depot.id,))]
-        finals.extend((n, (n.id,)) for n in nodes.values())
-        for super_node, children in supers:
-            sid = super_node.id
-            if tau_mode == "midpoint":
-                for other, _ in finals:
-                    tau[(other.id, sid)] = travel_time(super_node, other)
-            else:
+        if tau_mode == "conservative":
+            # (final node id, the nodes of this graph it covers); keys are (other, sid)
+            # because a super-node's id exceeds every id before it
+            finals = [(nid, (nid,)) for nid in (self.depot.id, *nodes)]
+            for super_node, children in supers:
+                sid = super_node.id
                 for other, others in finals:
-                    tau[(other.id, sid)] = max([self._tau[_tau_key(c, o)]
-                                                for c in children for o in others])
-            finals.append((super_node, children))
-            nodes[sid] = super_node
+                    tau[(other, sid)] = max([self.tau(c, o)
+                                             for c in children for o in others])
+                finals.append((sid, children))
+        nodes.update((s.id, s) for s, _ in supers)
         return Graph(self.depot, nodes, tau, name=self.name), [s for s, _ in supers]
 
     def extent(self) -> float:

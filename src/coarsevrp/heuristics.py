@@ -58,15 +58,14 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
                 node = graph.node(c)
                 if load + node.demand > capacity:
                     continue
-                arrival = time + graph.tau(stops[-1], c)
-                start = max(arrival, node.ready)
+                leg = graph.tau(stops[-1], c)
+                start = max(time + leg, node.ready)
                 if start > node.due:
                     continue
                 if start + node.service + graph.tau(c, DEPOT_ID) > depot.due:
                     continue
-                key = graph.tau(stops[-1], c)
-                if best_key is None or key < best_key:
-                    best, best_key = c, key
+                if best_key is None or leg < best_key:
+                    best, best_key = c, leg
             if best is None:
                 break
             node = graph.node(best)
@@ -104,7 +103,8 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     loads = {k: graph.node(c).demand for k, c in enumerate(ids)}
     viols = {k: _route([DEPOT_ID, c, DEPOT_ID], graph, capacity).tw_violations
              for k, c in enumerate(ids)}
-    pairs = [(-savings_value(graph, i, j), i, j) for i, j in combinations(ids, 2)]
+    home = {c: graph.tau(DEPOT_ID, c) for c in ids}    # savings_value, each depot leg once
+    pairs = [(-(home[i] + home[j] - graph.tau(i, j)), i, j) for i, j in combinations(ids, 2)]
     pairs.sort()
     for neg, i, j in pairs:
         ri, rj = route_of[i], route_of[j]

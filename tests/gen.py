@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+import string
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from coarsevrp.instances import Customer, Instance, load_instance
 
@@ -132,3 +135,28 @@ def load_benchmark(name: str) -> tuple[Instance, str]:
 
 def fig8_instances() -> list[tuple[str, Instance, str]]:
     return [(name, *load_benchmark(name)) for name in FIG8_NAMES]
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategy: any valid instance, not only generator-shaped ones
+
+@st.composite
+def drawn_instances(draw, max_customers=10, bound=1e300):
+    """A valid instance with ids 0..n and finite numbers in [-bound, bound]:
+    coordinates and windows anywhere in that range, demand, service and
+    capacity non-negative (capacity > 0, demand <= capacity), any window
+    with ready <= due."""
+    def number(lo=-bound, hi=bound):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    def row(cid, demand, service):
+        ready, due = sorted((number(), number()))
+        return Customer(cid, number(), number(), demand, ready, due, service)
+
+    capacity = draw(st.floats(0.0, bound, exclude_min=True))
+    n = draw(st.integers(0, max_customers))
+    customers = tuple(row(cid, number(0.0, capacity), number(0.0))
+                      for cid in range(1, n + 1))
+    name = draw(st.text(string.ascii_letters + string.digits, min_size=1, max_size=10))
+    return Instance(name, draw(st.integers(1, 10**6)), capacity, row(0, 0.0, 0.0),
+                    customers)

@@ -85,6 +85,28 @@ def test_poisoned_instance_is_validation_error(tmp_path, instance_file, capsys,
     assert not (tmp_path / "out.json").exists()
 
 
+def test_solve_warns_on_stderr_when_coarsening_stalls(tmp_path, instance_file, capsys):
+    # radius 0 proposes no merge, so the first round stalls at 20 of 20 nodes
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(instance_file), "--p", "0.5", "--radius", "0",
+                 "-o", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: coarsening stalled at 20 nodes (started with 20, target 10)\n"
+    assert captured.out.splitlines()[1] == f"wrote {out}"
+    assert read_solution(out)["params"]["radius_coeff"] == 0.0
+
+
+def test_solve_is_silent_on_stderr_when_coarsening_reaches_its_target(
+        tmp_path, instance_file, capsys):
+    # one round of 9 merges takes the 20 nodes to 11 <= 0.9 * 20
+    argv = ["solve", str(instance_file), "--p", "0.9", "--radius", "4",
+            "-o", str(tmp_path / "sol.json")]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "distance=" in captured.out
+
+
 def test_solve_p_one_matches_baseline(tmp_path, instance_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["solve", str(instance_file), "--p", "1.0",

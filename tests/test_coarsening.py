@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coarsevrp.coarsening import (CoarseningParams, MergeRecord, aggregate_window,
-                                  candidate_pairs, choose_direction, coarsen,
-                                  merge_feasibility, merge_pair, merge_slack, pair_weight,
-                                  radius_threshold, st_distance,
+from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeRecord,
+                                  aggregate_window, candidate_pairs, choose_direction,
+                                  coarsen, merge_feasibility, merge_pair, merge_slack,
+                                  pair_weight, radius_threshold, st_distance,
                                   temporal_separation)
 from coarsevrp.graph import TAU_MODES, CoarseNode, Graph, travel_time
 from coarsevrp.instances import Customer, Instance
@@ -380,6 +380,35 @@ def test_coarsen_structure_replay(tau_mode, propagation):
         for k, i in enumerate(ids):
             for j in ids[k + 1:]:
                 assert replayed.tau(i, j) == cg.tau(i, j)
+
+
+# ---------------------------------------------------------------------------
+# what each coarse travel time is, whatever the graph stores
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(6, 60),
+       tau_mode=st.sampled_from(TAU_MODES), propagation=st.sampled_from(PROPAGATION_MODES))
+def test_coarse_travel_times_follow_positions_or_members(seed, n, tau_mode, propagation):
+    g = Graph.from_instance(gen.random_instance(seed, n, family="mixed", horizon=1000.0))
+    assert g._tau == {}
+    trace = []
+    cg, _ = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.1, radius_coeff=4.0,
+                                        propagation=propagation, tau_mode=tau_mode),
+                    trace=trace)
+    # two merging rounds, so the second contracts a graph that holds super-nodes
+    assume(sum(r["merges_applied"] > 0 for r in trace) >= 2)
+    if tau_mode == "midpoint":
+        assert cg._tau == {}
+    ids = [0, *cg.customer_ids()]
+    for k, a in enumerate(ids):
+        for b in ids[k + 1:]:
+            na, nb = cg.node(a), cg.node(b)
+            if tau_mode == "midpoint":
+                expected = travel_time(na, nb)
+            else:
+                expected = max(travel_time(g.node(x), g.node(y))
+                               for x in na.members for y in nb.members)
+            assert cg.tau(a, b) == expected, (a, b)
 
 
 # ---------------------------------------------------------------------------

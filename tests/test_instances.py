@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
 from coarsevrp.evaluation import Metrics
 from coarsevrp.graph import Graph, recompute_schedule
@@ -146,3 +147,9 @@ def test_document_validation(tmp_path):
     p.write_text(json.dumps({"instance": "x"}))
     with pytest.raises(DocumentError, match="missing"):
         read_solution(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen.drawn_instances())
+def test_parse_write_round_trip(inst):
+    assert parse_solomon(write_solomon(inst)) == inst

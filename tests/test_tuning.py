@@ -1,13 +1,16 @@
 import math
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coarsevrp.coarsening import CoarseningParams
+from coarsevrp.coarsening import PROPAGATION_MODES, CoarseningParams
 from coarsevrp.evaluation import evaluate
-from coarsevrp.graph import Graph
+from coarsevrp.graph import TAU_MODES, Graph
 from coarsevrp.heuristics import savings_solve
 from coarsevrp.instances import TRIAL_FIELDS, trial_row
-from coarsevrp.tuning import (SearchSpace, TrialResult, random_search,
+from coarsevrp.tuning import (SOLVERS, SearchSpace, TrialResult, random_search,
                               run_baseline, run_pipeline, run_trial,
                               sample_params, trial_seed)
 
@@ -67,6 +70,18 @@ def test_run_pipeline_carries_the_coarsening_trace():
     reached = out.coarse_graph.customer_count <= 0.4 * 30
     assert rounds[-1]["stop"] == ("target" if reached else "stalled")
     assert run_pipeline(inst, CoarseningParams(p_target=1.0), "savings").coarsening == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=gen.drawn_instances(max_customers=14, bound=200.0),
+       p=st.sampled_from([0.2, 0.5, 1.0]), radius=st.sampled_from([0.5, 2.0, 6.0]))
+def test_pipeline_serves_every_customer_exactly_once(inst, p, radius):
+    ids = [c.id for c in inst.customers]
+    for tau_mode, propagation, solver in product(TAU_MODES, PROPAGATION_MODES, SOLVERS):
+        params = CoarseningParams(p_target=p, radius_coeff=radius,
+                                  propagation=propagation, tau_mode=tau_mode)
+        out = run_pipeline(inst, params, solver)
+        assert sorted(out.solution.customer_stops) == ids, (tau_mode, propagation, solver)
 
 
 def test_pipeline_with_p_one_equals_baseline():
