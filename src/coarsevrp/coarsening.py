@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
 
 from .graph import TAU_MODES, CoarseNode, Graph
 
@@ -86,7 +85,7 @@ def st_distance(i: CoarseNode, j: CoarseNode, tau_ij: float,
 def pair_weight(i: CoarseNode, j: CoarseNode, tau_ij: float,
                 params: CoarseningParams) -> float:
     """alpha*tau + beta*|t_i - t_j|, i.e. st_distance in nominal mode, written
-    out because the candidate scan calls it once per pair."""
+    out because the candidate scan calls it once per pair its bound keeps."""
     return params.alpha * tau_ij + params.beta * abs(i.nominal_t - j.nominal_t)
 
 
@@ -196,6 +195,11 @@ def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
     Customers are bucketed on a grid over (x, y, nominal_t) with spatial side
     rho/alpha and temporal side rho/beta, and only pairs in the same or
     adjacent cells are weighed; the pruning is exact (see _CELL_MARGIN).
+    A pair is weighed from the two positions, in one pass per customer over
+    the rest of its cell and its forward neighbours. That weight is exact
+    unless the graph stores the pair's travel time, and then it is a lower
+    bound (see _CELL_MARGIN), so only the pairs it keeps are weighed again
+    with Graph.taus.
     Returns (candidates, pairs_scanned), the latter counting weighed pairs.
     """
     nodes = graph.customers
@@ -207,22 +211,32 @@ def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
     cells = {}
     for node, key in zip(nodes, keys):
         cells.setdefault(key, []).append(node)
-    blocks = []
+    alpha, beta, hypot = params.alpha, params.beta, math.hypot
+    candidates = []
+    scanned = 0
     for (x, y, t), members in cells.items():
-        blocks.append(combinations(members, 2))
+        neighbours = []
         for dx, dy, dt in _FORWARD_NEIGHBOURS:
             other = cells.get((x + dx, y + dy, t + dt))
             if other is not None:
-                blocks.append(product(members, other))
-    candidates = []
-    scanned = 0
-    for a, b in chain.from_iterable(blocks):
-        if a.id > b.id:
-            a, b = b, a
-        scanned += 1
-        w = pair_weight(a, b, graph.tau(a.id, b.id), params)
-        if w <= rho:
-            candidates.append((w, a.id, b.id))
+                neighbours += other
+        for k, a in enumerate(members):
+            others = members[k + 1:] + neighbours
+            if not others:
+                continue
+            scanned += len(others)
+            ax, ay, at = a.x, a.y, a.nominal_t
+            near = [b for b in others
+                    if alpha * hypot(ax - b.x, ay - b.y)
+                    + beta * abs(at - b.nominal_t) <= rho]
+            if not near:
+                continue
+            i = a.id
+            for b, tau in zip(near, graph.taus(i, [b.id for b in near])):
+                w = pair_weight(a, b, tau, params)
+                if w <= rho:
+                    j = b.id
+                    candidates.append((w, i, j) if i < j else (w, j, i))
     candidates.sort()
     return candidates, scanned
 

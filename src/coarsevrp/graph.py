@@ -34,15 +34,12 @@ def travel_time(a, b) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def nominal_visit_time(node, policy: str = "midpoint") -> float:
-    """Representative service-start time used by the temporal distance.
-
-    midpoint: halfway between the earliest start and the latest start that
-    still finishes by the deadline, i.e. (ready + (due - service)) / 2.
+def nominal_visit_time(node) -> float:
+    """Representative service-start time used by the temporal distance:
+    halfway between the earliest start and the latest start that still
+    finishes by the deadline, i.e. (ready + (due - service)) / 2.
     """
-    if policy == "midpoint":
-        return (node.ready + (node.due - node.service)) / 2.0
-    raise ValueError(f"unknown nominal time policy: {policy!r}")
+    return (node.ready + (node.due - node.service)) / 2.0
 
 
 class Graph:
@@ -98,6 +95,25 @@ class Graph:
         p = self._nodes[a] if a != DEPOT_ID else self.depot
         q = self._nodes[b] if b != DEPOT_ID else self.depot
         return math.hypot(p.x - q.x, p.y - q.y)
+
+    def taus(self, a: int, bs) -> list[float]:
+        """Travel times from a to each id of the sequence bs, equal to
+        [self.tau(a, b) for b in bs]: the distances between the positions,
+        computed in one pass, with the graph's stored entries laid over them.
+        """
+        nodes, depot = self._nodes, self.depot
+        p = nodes[a] if a != DEPOT_ID else depot
+        ax, ay = p.x, p.y
+        hypot = math.hypot
+        out = [hypot(ax - q.x, ay - q.y)
+               for q in [nodes[b] if b != DEPOT_ID else depot for b in bs]]
+        if self._tau:
+            get = self._tau.get
+            for k, b in enumerate(bs):
+                t = get((a, b) if a < b else (b, a))
+                if t is not None:
+                    out[k] = t
+        return out
 
     def contract(self, merges, tau_mode: str = "midpoint"):
         """Apply one round of disjoint (i, j, order, window) merges in list

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from operator import itemgetter
 
 from .graph import DEPOT_ID, Graph, Route, recompute_schedule
 from .instances import Instance
@@ -88,6 +88,28 @@ def savings_value(graph: Graph, i: int, j: int) -> float:
     return graph.tau(DEPOT_ID, i) + graph.tau(DEPOT_ID, j) - graph.tau(i, j)
 
 
+def _walk(graph: Graph, prev: int, t: float, stops) -> tuple[int, float]:
+    """(late stops, departure from the last one) when `stops` are served in
+    order after leaving `prev` at time t; recompute_schedule's arithmetic."""
+    late = 0
+    for c in stops:
+        node = graph.node(c)
+        arrival = t + graph.tau(prev, c)
+        start = arrival + max(0.0, node.ready - arrival)
+        if start > node.due:
+            late += 1
+        t = start + node.service
+        prev = c
+    return late, t
+
+
+def _returns_late(graph: Graph, last: int, t: float) -> bool:
+    """Whether a vehicle leaving `last` at time t is late back at the depot."""
+    depot = graph.depot
+    arrival = t + graph.tau(last, DEPOT_ID)
+    return arrival + max(0.0, depot.ready - arrival) > depot.due
+
+
 def savings_solve(graph: Graph, capacity: float) -> Solution:
     """Parallel savings construction adapted to time windows.
 
@@ -96,17 +118,33 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     is chained before the route starting at j, or the mirror image — no
     reversals), and only when the merged route fits capacity and introduces
     no new time-window violation.
+
+    The n(n-1)/2 pairs are listed row by row from Graph.taus and ordered by
+    one stable sort on the savings value alone, so ties keep (i, j) order.
+    A merge leaves the front route's schedule as it is, so testing it walks
+    only the back route, from the front route's last departure, and costs
+    O(length of the back route); Route objects are built for the final
+    routes only.
     """
     ids = graph.customer_ids()
+    homes = graph.taus(DEPOT_ID, ids)                   # each depot leg once
+    pairs = []
+    for k, i in enumerate(ids):
+        rest = ids[k + 1:]
+        hi = homes[k]
+        pairs += [(-(hi + hj - t), i, j)
+                  for j, hj, t in zip(rest, homes[k + 1:], graph.taus(i, rest))]
+    pairs.sort(key=itemgetter(0))
     routes = {k: [c] for k, c in enumerate(ids)}        # interior stops only
     route_of = {c: k for k, c in enumerate(ids)}
     loads = {k: graph.node(c).demand for k, c in enumerate(ids)}
-    viols = {k: _route([DEPOT_ID, c, DEPOT_ID], graph, capacity).tw_violations
-             for k, c in enumerate(ids)}
-    home = {c: graph.tau(DEPOT_ID, c) for c in ids}    # savings_value, each depot leg once
-    pairs = [(-(home[i] + home[j] - graph.tau(i, j)), i, j) for i, j in combinations(ids, 2)]
-    pairs.sort()
-    for neg, i, j in pairs:
+    late = {}        # late interior stops
+    ends = {}        # departure from the last interior stop
+    viols = {}       # late stops, depot return included
+    for k, c in enumerate(ids):
+        late[k], ends[k] = _walk(graph, DEPOT_ID, 0.0, (c,))
+        viols[k] = late[k] + _returns_late(graph, c, ends[k])
+    for _, i, j in pairs:
         ri, rj = route_of[i], route_of[j]
         if ri == rj:
             continue
@@ -118,16 +156,18 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
             front, back = rj, ri
         else:
             continue
-        merged = routes[front] + routes[back]
-        trial = _route([DEPOT_ID, *merged, DEPOT_ID], graph, capacity)
-        if trial.tw_violations > viols[front] + viols[back]:
+        tail = routes[back]
+        back_late, end = _walk(graph, routes[front][-1], ends[front], tail)
+        merged_late = late[front] + back_late
+        merged_viols = merged_late + _returns_late(graph, tail[-1], end)
+        if merged_viols > viols[front] + viols[back]:
             continue
-        routes[front] = merged
+        routes[front] += tail
         loads[front] += loads[back]
-        viols[front] = trial.tw_violations
-        for c in routes[back]:
+        late[front], ends[front], viols[front] = merged_late, end, merged_viols
+        for c in tail:
             route_of[c] = front
-        del routes[back], loads[back], viols[back]
+        del routes[back], loads[back], late[back], ends[back], viols[back]
     final = [_route([DEPOT_ID, *routes[k], DEPOT_ID], graph, capacity)
              for k in sorted(routes)]
     return Solution(final, "savings", graph.name)

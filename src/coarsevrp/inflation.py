@@ -42,36 +42,45 @@ def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solu
     (b) capacity split: a route over capacity repeatedly moves its last
         customer into a fresh singleton route.
 
+    A pass schedules each route it visits once, makes at most one swap in
+    it and then splits it. What a pass does to a route depends on nothing
+    but the route's own stops, so a route that a whole pass left alone is
+    settled: each pass after the first visits only the routes the last pass
+    changed and the singleton routes it split off.
+
     Idempotent: running it on its own output is a no-op.
     """
     stop_lists = [list(r.stops) for r in solution.routes]
-    changed = True
-    while changed:
-        changed = False
-        for stops in stop_lists:
-            route = recompute_schedule(stops, graph)
+    routes = {}           # each route's schedule from its last visit
+    visit = range(len(stop_lists))
+    while visit:
+        changed = set()
+        new_routes = []
+        for k in visit:
+            stops = stop_lists[k]
+            route = recompute_schedule(stops, graph, capacity)
             for pos in route.late_stops:
                 if pos < 2 or pos >= len(stops) - 1:
                     continue  # only interior customer pairs can swap
                 trial = stops[:]
                 trial[pos - 1], trial[pos] = trial[pos], trial[pos - 1]
-                swapped = recompute_schedule(trial, graph)
+                swapped = recompute_schedule(trial, graph, capacity)
                 if (swapped.tw_violations < route.tw_violations
                         and pos not in swapped.late_stops
                         and pos - 1 not in swapped.late_stops):
                     stops[:] = trial
-                    changed = True
+                    route = swapped
+                    changed.add(k)
                     break
-        new_routes = []
-        for stops in stop_lists:
-            route = recompute_schedule(stops, graph, capacity)
             while route.over_capacity and len(route.customer_stops) > 1:
                 last = stops[-2]
                 del stops[-2]
                 new_routes.append([DEPOT_ID, last, DEPOT_ID])
                 route = recompute_schedule(stops, graph, capacity)
-                changed = True
+                changed.add(k)
+            routes[k] = route
+        first_new = len(stop_lists)
         stop_lists.extend(new_routes)
-    routes = [recompute_schedule(stops, graph, capacity) for stops in stop_lists]
-    return Solution(routes, solution.solver, solution.source_graph,
-                    solution.flagged_routes)
+        visit = sorted(changed) + list(range(first_new, len(stop_lists)))
+    return Solution([routes[k] for k in range(len(stop_lists))], solution.solver,
+                    solution.source_graph, solution.flagged_routes)

@@ -160,3 +160,24 @@ def drawn_instances(draw, max_customers=10, bound=1e300):
     name = draw(st.text(string.ascii_letters + string.digits, min_size=1, max_size=10))
     return Instance(name, draw(st.integers(1, 10**6)), capacity, row(0, 0.0, 0.0),
                     customers)
+
+
+@st.composite
+def windowed_instances(draw, max_customers=14):
+    """An instance on a 100 x 100 square with fractional coordinates,
+    windows, service times and demands, whose windows and depot closing time
+    are tight enough that some stops and some depot returns are late, and
+    whose demands are large enough that some routes exceed the capacity."""
+    def number(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    horizon = number(50.0, 600.0)
+    capacity = number(40.0, 150.0)
+    customers = []
+    for cid in range(1, draw(st.integers(1, max_customers)) + 1):
+        ready = number(0.0, horizon)
+        customers.append(Customer(cid, number(0.0, 100.0), number(0.0, 100.0),
+                                  number(0.0, 40.0), ready, ready + number(0.0, 200.0),
+                                  number(0.0, 20.0)))
+    depot = Customer(0, number(0.0, 100.0), number(0.0, 100.0), 0.0, 0.0, horizon, 0.0)
+    return Instance("windowed", 25, capacity, depot, tuple(customers))

@@ -41,9 +41,6 @@ def test_nominal_visit_time_midpoint_and_earliest():
     assert abs(nominal_visit_time(c) - 50.0) < TOL
     c2 = Customer(2, 0, 0, 0, 912, 967, 90)
     assert abs(nominal_visit_time(c2) - 894.5) < TOL
-    c3 = Customer(3, 0, 0, 0, 30, 990, 5)
-    with pytest.raises(ValueError):
-        nominal_visit_time(c3, policy="typical")
 
 
 def test_schedule_wait_then_serve():
@@ -197,3 +194,25 @@ def test_contract_rejects_unknown_and_overlapping_merges():
     sub, _ = g.contract([(1, 2, (1, 2), w)])
     with pytest.raises(ValueError):
         sub.contract([(1, 3, (1, 3), w)])               # merged in an earlier round
+
+
+# ---------------------------------------------------------------------------
+# Graph.taus: one node to many, equal to tau pair by pair
+
+@settings(max_examples=60, deadline=None)
+@given(inst=gen.windowed_instances(max_customers=16), data=st.data())
+def test_taus_equals_tau(inst, data):
+    g = Graph.from_instance(inst)
+    ids = g.customer_ids()
+    k = len(ids) // 2
+    merges = [(i, j, (i, j), (0.0, 1000.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
+    cases = [(g, [0, *ids[:1]])]
+    for tau_mode in TAU_MODES:
+        coarse, supers = g.contract(merges, tau_mode)
+        cases.append((coarse, [0, *(s.id for s in supers)]))
+    for graph, sources in cases:
+        everyone = [0, *graph.customer_ids()]
+        for a in sources:
+            bs = data.draw(st.lists(st.sampled_from(everyone), max_size=20))
+            for targets in (bs, everyone):                # the depot is in `everyone`
+                assert graph.taus(a, targets) == [graph.tau(a, b) for b in targets]

@@ -1,10 +1,14 @@
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coarsevrp.coarsening import PROPAGATION_MODES, CoarseningParams, coarsen
 from coarsevrp.evaluation import evaluate
-from coarsevrp.graph import Graph
-from coarsevrp.heuristics import (brute_force_optimal, greedy_solve,
+from coarsevrp.graph import DEPOT_ID, Graph, recompute_schedule
+from coarsevrp.heuristics import (Solution, brute_force_optimal, greedy_solve,
                                   savings_solve, savings_value)
 from coarsevrp.instances import Customer, Instance
 
@@ -202,3 +206,65 @@ def test_heuristics_never_beat_the_oracle():
             got = evaluate(solver(g, inst.capacity), g, inst.capacity)
             assert got.tw_violations == 0 and got.capacity_violations == 0
             assert got.total_distance >= opt_dist - TOL, (seed, solver)
+
+
+# ---------------------------------------------------------------------------
+# savings_solve against its plain reference
+
+def reference_savings_solve(graph, capacity):
+    """savings_solve as it was before its pair list, sort and merge test were
+    made cheap, kept verbatim (heuristics._route spelt recompute_schedule):
+    one tau call per pair, a sort on whole tuples and a full schedule rebuild
+    per merge tested. savings_solve must return the same routes."""
+    ids = graph.customer_ids()
+    routes = {k: [c] for k, c in enumerate(ids)}        # interior stops only
+    route_of = {c: k for k, c in enumerate(ids)}
+    loads = {k: graph.node(c).demand for k, c in enumerate(ids)}
+    viols = {k: recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity).tw_violations
+             for k, c in enumerate(ids)}
+    home = {c: graph.tau(DEPOT_ID, c) for c in ids}    # savings_value, each depot leg once
+    pairs = [(-(home[i] + home[j] - graph.tau(i, j)), i, j) for i, j in combinations(ids, 2)]
+    pairs.sort()
+    for neg, i, j in pairs:
+        ri, rj = route_of[i], route_of[j]
+        if ri == rj:
+            continue
+        if loads[ri] + loads[rj] > capacity:
+            continue
+        if routes[ri][-1] == i and routes[rj][0] == j:
+            front, back = ri, rj
+        elif routes[rj][-1] == j and routes[ri][0] == i:
+            front, back = rj, ri
+        else:
+            continue
+        merged = routes[front] + routes[back]
+        trial = recompute_schedule([DEPOT_ID, *merged, DEPOT_ID], graph, capacity)
+        if trial.tw_violations > viols[front] + viols[back]:
+            continue
+        routes[front] = merged
+        loads[front] += loads[back]
+        viols[front] = trial.tw_violations
+        for c in routes[back]:
+            route_of[c] = front
+        del routes[back], loads[back], viols[back]
+    final = [recompute_schedule([DEPOT_ID, *routes[k], DEPOT_ID], graph, capacity)
+             for k in sorted(routes)]
+    return Solution(final, "savings", graph.name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=st.one_of(gen.windowed_instances(),
+                     gen.drawn_instances(max_customers=14, bound=100.0)),
+       alpha=st.sampled_from([0.3, 0.9]), radius=st.sampled_from([1.0, 4.0]),
+       propagation=st.sampled_from(PROPAGATION_MODES))
+def test_savings_equals_reference(inst, alpha, radius, propagation):
+    # fractional coordinates, windows, service times and demands, with late
+    # stops and late depot returns; the conservative coarse graph stores its
+    # super-nodes' travel times
+    g = Graph.from_instance(inst)
+    coarse, _ = coarsen(g, CoarseningParams(alpha=alpha, beta=1 - alpha, p_target=0.3,
+                                            radius_coeff=radius, propagation=propagation,
+                                            tau_mode="conservative"))
+    for graph in (g, coarse):
+        got = savings_solve(graph, inst.capacity)
+        assert got == reference_savings_solve(graph, inst.capacity)

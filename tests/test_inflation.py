@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsevrp.coarsening import (CoarseningParams, MergeHistory, MergeRecord,
                                   coarsen)
 from coarsevrp.evaluation import evaluate
-from coarsevrp.graph import Graph, recompute_schedule
+from coarsevrp.graph import DEPOT_ID, TAU_MODES, Graph, recompute_schedule
 from coarsevrp.heuristics import Solution, greedy_solve, savings_solve
 from coarsevrp.inflation import InflationError, inflate, light_postprocess
 from coarsevrp.instances import Customer, Instance
@@ -166,3 +168,58 @@ def test_postprocess_preserves_coverage():
         rough = inflate(greedy_solve(cg, inst.capacity), hist, g)
         out = light_postprocess(rough, g, inst.capacity)
         assert sorted(out.customer_stops) == list(range(1, 23))
+
+
+# ---------------------------------------------------------------------------
+# light_postprocess against its plain reference
+
+def reference_light_postprocess(solution, graph, capacity):
+    """light_postprocess as it was before it skipped settled routes, kept
+    verbatim: every pass visits every route. light_postprocess must return
+    the same solution."""
+    stop_lists = [list(r.stops) for r in solution.routes]
+    changed = True
+    while changed:
+        changed = False
+        for stops in stop_lists:
+            route = recompute_schedule(stops, graph)
+            for pos in route.late_stops:
+                if pos < 2 or pos >= len(stops) - 1:
+                    continue  # only interior customer pairs can swap
+                trial = stops[:]
+                trial[pos - 1], trial[pos] = trial[pos], trial[pos - 1]
+                swapped = recompute_schedule(trial, graph)
+                if (swapped.tw_violations < route.tw_violations
+                        and pos not in swapped.late_stops
+                        and pos - 1 not in swapped.late_stops):
+                    stops[:] = trial
+                    changed = True
+                    break
+        new_routes = []
+        for stops in stop_lists:
+            route = recompute_schedule(stops, graph, capacity)
+            while route.over_capacity and len(route.customer_stops) > 1:
+                last = stops[-2]
+                del stops[-2]
+                new_routes.append([DEPOT_ID, last, DEPOT_ID])
+                route = recompute_schedule(stops, graph, capacity)
+                changed = True
+        stop_lists.extend(new_routes)
+    routes = [recompute_schedule(stops, graph, capacity) for stops in stop_lists]
+    return Solution(routes, solution.solver, solution.source_graph,
+                    solution.flagged_routes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=gen.windowed_instances(max_customers=20),
+       radius=st.sampled_from([2.0, 6.0]), tau_mode=st.sampled_from(TAU_MODES),
+       solver=st.sampled_from([greedy_solve, savings_solve]))
+def test_postprocess_equals_reference(inst, radius, tau_mode, solver):
+    # relaxed windows and super-nodes that no capacity check stopped leave
+    # the inflated routes with late stops and over capacity
+    g = Graph.from_instance(inst)
+    cg, hist = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.2,
+                                           radius_coeff=radius, tau_mode=tau_mode))
+    rough = inflate(solver(cg, inst.capacity), hist, g)
+    assert (light_postprocess(rough, g, inst.capacity)
+            == reference_light_postprocess(rough, g, inst.capacity))
