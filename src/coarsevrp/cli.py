@@ -17,7 +17,8 @@ from .instances import (DocumentError, InstanceError, build_solution_document,
                         write_trials_csv)
 from .plotting import render_solution_svg
 from .report import build_report, format_report, write_report_csv
-from .tuning import SearchSpace, random_search, run_baseline, run_pipeline, solve_baseline
+from .tuning import (SearchSpace, random_search, run_baseline, run_pipeline, solve_baseline,
+                     trial_solution)
 
 
 def _summary_line(tag: str, metrics, score: float) -> str:
@@ -103,12 +104,9 @@ def cmd_tune(args) -> int:
                      [trial_row(t, instance.name, args.seed) for t in trials])
     write_trials_csv(out_dir / "baselines.csv",
                      [trial_row(b, instance.name, args.seed) for b in baselines])
-    # re-run the winning configuration to get its full solution for the document
-    params = CoarseningParams(alpha=best.alpha, beta=best.beta, p_target=best.p,
-                              radius_coeff=best.radius_coeff, propagation=best.propagation)
-    out = run_pipeline(instance, params, best.solver)
-    doc = build_solution_document(out.solution, instance, out.metrics, best.params_doc(),
-                                  seed=args.seed, timings=out.timings)
+    # the winning trial's own routes, metrics and timings
+    doc = build_solution_document(trial_solution(instance, best), instance, best.metrics,
+                                  best.params_doc(), seed=args.seed, timings=best.timings)
     write_solution(doc, out_dir / "best_solution.json")
     for b in baselines:
         print(_summary_line(f"{instance.name} [baseline {b.solver}]", b.metrics, b.score))

@@ -84,8 +84,8 @@ def st_distance(i: CoarseNode, j: CoarseNode, tau_ij: float,
 
 def pair_weight(i: CoarseNode, j: CoarseNode, tau_ij: float,
                 params: CoarseningParams) -> float:
-    """alpha*tau + beta*|t_i - t_j|, i.e. st_distance in nominal mode, written
-    out because the candidate scan calls it once per pair its bound keeps."""
+    """alpha*tau + beta*|t_i - t_j|, i.e. st_distance in nominal mode: the
+    weight coarsen ranks pairs by, which candidate_pairs writes out inline."""
     return params.alpha * tau_ij + params.beta * abs(i.nominal_t - j.nominal_t)
 
 
@@ -195,47 +195,58 @@ def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
     Customers are bucketed on a grid over (x, y, nominal_t) with spatial side
     rho/alpha and temporal side rho/beta, and only pairs in the same or
     adjacent cells are weighed; the pruning is exact (see _CELL_MARGIN).
-    A pair is weighed from the two positions, in one pass per customer over
-    the rest of its cell and its forward neighbours. That weight is exact
-    unless the graph stores the pair's travel time, and then it is a lower
-    bound (see _CELL_MARGIN), so only the pairs it keeps are weighed again
-    with Graph.taus.
+    Each customer becomes one (x, y, nominal_t, id) row, and each cell
+    gathers its own rows and those of its forward neighbours once; a member
+    is weighed against the rows after it. A pair is weighed once, from the
+    two positions. That weight is exact unless the graph stores travel times
+    (Graph.stores_taus), and then it is a lower bound (see _CELL_MARGIN), so
+    only then are the pairs it keeps weighed again with Graph.taus.
     Returns (candidates, pairs_scanned), the latter counting weighed pairs.
     """
     nodes = graph.customers
     if rho <= 0 or len(nodes) < 2:
         return [], 0
-    keys = zip(_cells([n.x for n in nodes], params.alpha, rho),
-               _cells([n.y for n in nodes], params.alpha, rho),
-               _cells([n.nominal_t for n in nodes], params.beta, rho))
-    cells = {}
-    for node, key in zip(nodes, keys):
-        cells.setdefault(key, []).append(node)
     alpha, beta, hypot = params.alpha, params.beta, math.hypot
+    xs = _cells([n.x for n in nodes], alpha, rho)
+    ys = _cells([n.y for n in nodes], alpha, rho)
+    ts = _cells([n.nominal_t for n in nodes], beta, rho)
+    # A cell (cx, cy, ct) is keyed by the int (cx * s + cy) * s + ct. Every
+    # index is at most s - 2, so a neighbour's is in [-1, s - 1]: adding the
+    # neighbour's offset to a key gives the neighbour's key, or a key with a
+    # base-s digit s - 1 (an index -1 borrows), which no cell has.
+    s = max(max(xs), max(ys), max(ts)) + 2
+    offsets = [(dx * s + dy) * s + dt for dx, dy, dt in _FORWARD_NEIGHBOURS]
+    cells = {}
+    for node, cx, cy, ct in zip(nodes, xs, ys, ts):
+        cells.setdefault((cx * s + cy) * s + ct, []).append(
+            (node.x, node.y, node.nominal_t, node.id))
+    stored = graph.stores_taus
+    get = cells.get
     candidates = []
     scanned = 0
-    for (x, y, t), members in cells.items():
-        neighbours = []
-        for dx, dy, dt in _FORWARD_NEIGHBOURS:
-            other = cells.get((x + dx, y + dy, t + dt))
+    for key, members in cells.items():
+        rows = members[:]
+        for offset in offsets:
+            other = get(key + offset)
             if other is not None:
-                neighbours += other
-        for k, a in enumerate(members):
-            others = members[k + 1:] + neighbours
-            if not others:
+                rows += other
+        m = len(members)
+        scanned += m * len(rows) - m * (m + 1) // 2
+        for k in range(m):
+            ax, ay, at, i = members[k]
+            if not stored:
+                candidates += [(w, i, j) if i < j else (w, j, i)
+                               for bx, by, bt, j in rows[k + 1:]
+                               if (w := alpha * hypot(ax - bx, ay - by)
+                                   + beta * abs(at - bt)) <= rho]
                 continue
-            scanned += len(others)
-            ax, ay, at = a.x, a.y, a.nominal_t
-            near = [b for b in others
-                    if alpha * hypot(ax - b.x, ay - b.y)
-                    + beta * abs(at - b.nominal_t) <= rho]
+            near = [(bt, j) for bx, by, bt, j in rows[k + 1:]
+                    if alpha * hypot(ax - bx, ay - by) + beta * abs(at - bt) <= rho]
             if not near:
                 continue
-            i = a.id
-            for b, tau in zip(near, graph.taus(i, [b.id for b in near])):
-                w = pair_weight(a, b, tau, params)
+            for (bt, j), tau in zip(near, graph.taus(i, [j for _, j in near])):
+                w = alpha * tau + beta * abs(at - bt)      # pair_weight
                 if w <= rho:
-                    j = b.id
                     candidates.append((w, i, j) if i < j else (w, j, i))
     candidates.sort()
     return candidates, scanned
@@ -268,11 +279,11 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
         for _, i, j in candidates:
             if i in used or j in used:
                 continue
-            order = choose_direction(graph.node(i), graph.node(j), graph.tau(i, j))
+            tau = graph.tau(i, j)
+            order = choose_direction(graph.node(i), graph.node(j), tau)
             if order is None:
                 continue
-            window = aggregate_window(order[0], order[1], graph.tau(i, j),
-                                      params.propagation)
+            window = aggregate_window(order[0], order[1], tau, params.propagation)
             if window[0] > window[1]:
                 continue
             used.update((i, j))

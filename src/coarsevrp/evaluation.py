@@ -29,7 +29,18 @@ DEFAULT_WEIGHTS = PenaltyWeights()
 
 
 def evaluate(solution: Solution, graph: Graph, capacity: float) -> Metrics:
-    """Recompute every route from scratch and aggregate.
+    """Recompute every route from scratch on graph, then aggregate_metrics.
+
+    Stored schedules are ignored: a solution from another graph, or one
+    whose routes were edited, is measured correctly.
+    """
+    return aggregate_metrics([recompute_schedule(r.stops, graph, capacity)
+                              for r in solution.routes])
+
+
+def aggregate_metrics(routes) -> Metrics:
+    """Sum routes already scheduled by recompute_schedule, with the capacity,
+    on the graph they are measured on; nothing is recomputed.
 
     Duration counts travel + waiting + service from the depot departure to
     the return. A vehicle is counted per route that serves at least one
@@ -40,11 +51,10 @@ def evaluate(solution: Solution, graph: Graph, capacity: float) -> Metrics:
     vehicles = 0
     late = 0
     over = 0
-    for r in solution.routes:
-        route = recompute_schedule(r.stops, graph, capacity)
+    for route in routes:
         if route.customer_stops:
             vehicles += 1
-        distance += route.distance(graph)
+        distance += route.distance
         duration += route.duration
         late += route.tw_violations
         over += 1 if route.over_capacity else 0

@@ -87,6 +87,12 @@ class Graph:
     def customer_count(self) -> int:
         return len(self._nodes)
 
+    @property
+    def stores_taus(self) -> bool:
+        """Whether some pair has a stored travel time, which may differ from
+        the distance between the two positions."""
+        return bool(self._tau)
+
     def tau(self, a: int, b: int) -> float:
         if self._tau:           # most graphs store nothing: skip building the key
             t = self._tau.get((a, b) if a < b else (b, a))
@@ -209,6 +215,7 @@ class Route:
     load: float = 0.0
     late_stops: tuple[int, ...] = ()       # positions where service_start > due
     over_capacity: bool = False
+    distance: float = 0.0                  # the legs' travel times, summed
 
     @property
     def tw_violations(self) -> int:
@@ -222,10 +229,6 @@ class Route:
     def duration(self) -> float:
         return self.schedule[-1].departure - self.schedule[0].departure if self.schedule else 0.0
 
-    def distance(self, graph: Graph) -> float:
-        return sum(graph.tau(a, b) for a, b in zip(self.stops, self.stops[1:]))
-
-
 def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Route:
     """Forward-simulate a depot-to-depot stop sequence.
 
@@ -234,18 +237,21 @@ def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Ro
     departure = service_start + service. A stop is late when its
     service_start exceeds its due time; late stops are recorded, never
     rejected. With a capacity, the route is additionally flagged when total
-    demand exceeds it.
+    demand exceeds it. The legs' travel times are summed into `distance`.
     """
     stops = list(stops)
     if len(stops) < 2 or stops[0] != DEPOT_ID or stops[-1] != DEPOT_ID:
         raise ValueError("a route must start and end at the depot")
     schedule = [StopTiming(0.0, 0.0, 0.0, 0.0)]
     late = []
+    legs = []
     load = 0.0
     t = 0.0
     for pos in range(1, len(stops)):
         node = graph.node(stops[pos])
-        arrival = t + graph.tau(stops[pos - 1], stops[pos])
+        leg = graph.tau(stops[pos - 1], stops[pos])
+        legs.append(leg)
+        arrival = t + leg
         wait = max(0.0, node.ready - arrival)
         service_start = arrival + wait
         departure = service_start + node.service
@@ -255,4 +261,20 @@ def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Ro
         load += node.demand
         t = departure
     over = capacity is not None and load > capacity
-    return Route(stops, schedule, load, tuple(late), over)
+    return Route(stops, schedule, load, tuple(late), over, sum(legs))
+
+
+def walk_schedule(graph: Graph, prev: int, t: float, stops) -> tuple[int, float]:
+    """(late stops, departure from the last one) when `stops` are served in
+    order after leaving `prev` at time t; recompute_schedule's arithmetic,
+    without building a Route."""
+    late = 0
+    for c in stops:
+        node = graph.node(c)
+        arrival = t + graph.tau(prev, c)
+        start = arrival + max(0.0, node.ready - arrival)
+        if start > node.due:
+            late += 1
+        t = start + node.service
+        prev = c
+    return late, t

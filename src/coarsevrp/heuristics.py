@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .graph import DEPOT_ID, Graph, Route, recompute_schedule
+from .graph import DEPOT_ID, Graph, Route, recompute_schedule, walk_schedule
 from .instances import Instance
 
 
@@ -88,21 +88,6 @@ def savings_value(graph: Graph, i: int, j: int) -> float:
     return graph.tau(DEPOT_ID, i) + graph.tau(DEPOT_ID, j) - graph.tau(i, j)
 
 
-def _walk(graph: Graph, prev: int, t: float, stops) -> tuple[int, float]:
-    """(late stops, departure from the last one) when `stops` are served in
-    order after leaving `prev` at time t; recompute_schedule's arithmetic."""
-    late = 0
-    for c in stops:
-        node = graph.node(c)
-        arrival = t + graph.tau(prev, c)
-        start = arrival + max(0.0, node.ready - arrival)
-        if start > node.due:
-            late += 1
-        t = start + node.service
-        prev = c
-    return late, t
-
-
 def _returns_late(graph: Graph, last: int, t: float) -> bool:
     """Whether a vehicle leaving `last` at time t is late back at the depot."""
     depot = graph.depot
@@ -142,7 +127,7 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     ends = {}        # departure from the last interior stop
     viols = {}       # late stops, depot return included
     for k, c in enumerate(ids):
-        late[k], ends[k] = _walk(graph, DEPOT_ID, 0.0, (c,))
+        late[k], ends[k] = walk_schedule(graph, DEPOT_ID, 0.0, (c,))
         viols[k] = late[k] + _returns_late(graph, c, ends[k])
     for _, i, j in pairs:
         ri, rj = route_of[i], route_of[j]
@@ -157,7 +142,7 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         else:
             continue
         tail = routes[back]
-        back_late, end = _walk(graph, routes[front][-1], ends[front], tail)
+        back_late, end = walk_schedule(graph, routes[front][-1], ends[front], tail)
         merged_late = late[front] + back_late
         merged_viols = merged_late + _returns_late(graph, tail[-1], end)
         if merged_viols > viols[front] + viols[back]:

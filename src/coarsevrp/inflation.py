@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .coarsening import MergeHistory
-from .graph import DEPOT_ID, Graph, recompute_schedule
+from .graph import DEPOT_ID, Graph, Route, recompute_schedule, walk_schedule
 from .heuristics import Solution
 
 
@@ -11,17 +13,23 @@ class InflationError(ValueError):
     """A route references a super-node the merge history cannot expand."""
 
 
-def inflate(solution: Solution, history: MergeHistory, original: Graph) -> Solution:
-    """Expand each super-node in place into its original customers, in their
-    recorded service order, then rebuild all schedules on the original
-    graph's travel times.
-
-    Route count and stop order are preserved; records whose super-node never
-    appears in any route are simply skipped.
-    """
+def expansion_map(history: MergeHistory) -> dict[int, list[int]]:
+    """{super_id: its original customers in recorded service order}."""
     expand = {}
     for rec in history:   # oldest first: a nested child is already expanded
         expand[rec.super_id] = [s for c in rec.order for s in expand.get(c, (c,))]
+    return expand
+
+
+def expand_stops(solution: Solution, history: MergeHistory,
+                 original: Graph) -> list[list[int]]:
+    """Each route's stop list with every super-node replaced in place by its
+    original customers (see expansion_map); nothing is scheduled.
+
+    Raises InflationError for a stop that is neither the depot nor one of
+    the original graph's customers after expansion.
+    """
+    expand = expansion_map(history)
     stop_lists = [[s for stop in r.stops for s in expand.get(stop, (stop,))]
                   for r in solution.routes]
     known = {DEPOT_ID, *original.customer_ids()}
@@ -29,12 +37,33 @@ def inflate(solution: Solution, history: MergeHistory, original: Graph) -> Solut
         for s in stops:
             if s not in known:
                 raise InflationError(f"node {s} not expandable from the merge history")
-    routes = [recompute_schedule(stops, original) for stops in stop_lists]
+    return stop_lists
+
+
+def inflate(solution: Solution, history: MergeHistory, original: Graph) -> Solution:
+    """expand_stops, then schedule each route once on the original graph's
+    travel times.
+
+    Route count and stop order are preserved; records whose super-node never
+    appears in any route are simply skipped.
+    """
+    routes = [recompute_schedule(stops, original)
+              for stops in expand_stops(solution, history, original)]
     return Solution(routes, solution.solver, original.name, solution.flagged_routes)
 
 
 def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solution:
-    """Cheap repairs after inflation, applied until nothing changes.
+    """repair_stops on the solution's stop lists; their schedules are not read.
+
+    Idempotent: running it on its own output is a no-op.
+    """
+    return Solution(repair_stops([list(r.stops) for r in solution.routes], graph, capacity),
+                    solution.solver, solution.source_graph, solution.flagged_routes)
+
+
+def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> list[Route]:
+    """Cheap repairs, applied until nothing changes; returns the routes, each
+    scheduled with the capacity. The stop lists are edited in place.
 
     (a) adjacent swap: exchanging a late stop with its predecessor is kept
         when it strictly lowers the route's violation count and leaves both
@@ -42,45 +71,55 @@ def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solu
     (b) capacity split: a route over capacity repeatedly moves its last
         customer into a fresh singleton route.
 
-    A pass schedules each route it visits once, makes at most one swap in
-    it and then splits it. What a pass does to a route depends on nothing
-    but the route's own stops, so a route that a whole pass left alone is
-    settled: each pass after the first visits only the routes the last pass
-    changed and the singleton routes it split off.
+    A pass makes at most one swap in each route it visits and then splits
+    it. What a pass does to a route depends on nothing but the route's own
+    stops, so a route that a whole pass left alone is settled: each pass
+    after the first visits only the routes the last pass changed and the
+    singleton routes it split off.
 
-    Idempotent: running it on its own output is a no-op.
+    Each route is scheduled once, and again only when a swap or a split
+    changes it. A swap leaves the schedule in front of it as it is, so its
+    test walks only from the swap position, from the current schedule's
+    departure there (Savelsbergh 1992); a split keeps a prefix of the stops,
+    and its load is a prefix sum of their demands.
     """
-    stop_lists = [list(r.stops) for r in solution.routes]
-    routes = {}           # each route's schedule from its last visit
+    routes = {}           # each route's schedule, kept while its stops stay as they are
     visit = range(len(stop_lists))
     while visit:
         changed = set()
         new_routes = []
         for k in visit:
             stops = stop_lists[k]
-            route = recompute_schedule(stops, graph, capacity)
-            for pos in route.late_stops:
+            route = routes[k] if k in routes else recompute_schedule(stops, graph, capacity)
+            late = route.late_stops
+            for pos in late:
                 if pos < 2 or pos >= len(stops) - 1:
                     continue  # only interior customer pairs can swap
-                trial = stops[:]
-                trial[pos - 1], trial[pos] = trial[pos], trial[pos - 1]
-                swapped = recompute_schedule(trial, graph, capacity)
-                if (swapped.tw_violations < route.tw_violations
-                        and pos not in swapped.late_stops
-                        and pos - 1 not in swapped.late_stops):
-                    stops[:] = trial
-                    route = swapped
+                # swapped stops first: both must be on time
+                swap_late, t = walk_schedule(graph, stops[pos - 2],
+                                             route.schedule[pos - 2].departure,
+                                             (stops[pos], stops[pos - 1]))
+                if swap_late:
+                    continue
+                rest_late, _ = walk_schedule(graph, stops[pos - 1], t, stops[pos + 1:])
+                if rest_late < sum(q >= pos - 1 for q in late):
+                    stops[pos - 1], stops[pos] = stops[pos], stops[pos - 1]
+                    route = recompute_schedule(stops, graph, capacity)
                     changed.add(k)
                     break
-            while route.over_capacity and len(route.customer_stops) > 1:
-                last = stops[-2]
-                del stops[-2]
-                new_routes.append([DEPOT_ID, last, DEPOT_ID])
+            customers = len(route.customer_stops)
+            if route.over_capacity and customers > 1:
+                # loads[q]: the load of stops[:q + 1], summed as recompute_schedule sums it
+                loads = list(accumulate([graph.node(s).demand for s in stops[1:-1]],
+                                        initial=0.0))
+                while loads[len(stops) - 2] > capacity and customers > 1:
+                    last = stops.pop(-2)
+                    customers -= last != DEPOT_ID
+                    new_routes.append([DEPOT_ID, last, DEPOT_ID])
                 route = recompute_schedule(stops, graph, capacity)
                 changed.add(k)
             routes[k] = route
         first_new = len(stop_lists)
         stop_lists.extend(new_routes)
         visit = sorted(changed) + list(range(first_new, len(stop_lists)))
-    return Solution([routes[k] for k in range(len(stop_lists))], solution.solver,
-                    solution.source_graph, solution.flagged_routes)
+    return [routes[k] for k in range(len(stop_lists))]

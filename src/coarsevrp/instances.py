@@ -64,7 +64,8 @@ def parse_solomon(text: str, name: str | None = None) -> Instance:
 
     Expected shape: a title line, a VEHICLE section with a NUMBER/CAPACITY
     pair, and a CUSTOMER table whose rows are
-    ``id x y demand ready due service`` with row 0 as the depot.
+    ``id x y demand ready due service`` with row 0 as the depot. A row of
+    numbers in that table that are not exactly seven raises InstanceError.
     """
     lines = text.splitlines()
     stripped = [ln.strip() for ln in lines]
@@ -102,7 +103,10 @@ def parse_solomon(text: str, name: str | None = None) -> Instance:
     rows = []
     for ln in stripped[ci + 1:]:
         nums = _numbers(ln)
-        if len(nums) >= 7:
+        if nums:                        # header and blank lines have none
+            if len(nums) != 7:
+                raise InstanceError(f"{title}: CUSTOMER row {ln!r} has {len(nums)} "
+                                    f"numbers, expected 7")
             if not nums[0].is_integer():
                 raise InstanceError(f"{title}: customer id {nums[0]} is not an integer")
             rows.append(Customer(int(nums[0]), nums[1], nums[2], nums[3],

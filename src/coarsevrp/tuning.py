@@ -14,10 +14,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .coarsening import CoarseningParams, coarsen
-from .evaluation import DEFAULT_WEIGHTS, Metrics, evaluate, objective_score
-from .graph import Graph
+from .evaluation import DEFAULT_WEIGHTS, Metrics, aggregate_metrics, objective_score
+from .graph import Graph, recompute_schedule
 from .heuristics import Solution, greedy_solve, savings_solve
-from .inflation import inflate, light_postprocess
+from .inflation import expand_stops, repair_stops
 from .instances import Instance
 
 SOLVERS = {"greedy": greedy_solve, "savings": savings_solve}
@@ -47,6 +47,12 @@ class TrialResult:
     coarsen_ms: float = 0.0
     solve_ms: float = 0.0
     inflate_ms: float = 0.0
+    stops: tuple[tuple[int, ...], ...] = ()    # a trial's final routes, depot to depot
+
+    @property
+    def timings(self) -> dict:
+        return {"coarsen_ms": self.coarsen_ms, "solve_ms": self.solve_ms,
+                "inflate_ms": self.inflate_ms}
 
     def params_doc(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta, "p": self.p,
@@ -68,7 +74,15 @@ class PipelineResult:
 
 def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
                  weights=DEFAULT_WEIGHTS) -> PipelineResult:
-    """coarsen -> solve on the small graph -> inflate -> light repairs -> score."""
+    """coarsen -> solve on the small graph -> inflate -> light repairs -> score.
+
+    The coarse routes are expanded to stop lists and handed to the repair
+    unscheduled (inflate plus light_postprocess, minus inflate's schedules),
+    so each full route is scheduled once, plus once per repair that changes
+    it. Both metrics are aggregated from the routes as scheduled: the
+    solver's on the coarse graph, the repair's on the original one; each
+    equals evaluate() on the same solution and graph.
+    """
     solve_fn = SOLVERS[solver]
     graph = Graph.from_instance(instance)
     rounds = []
@@ -77,11 +91,13 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
     t1 = time.perf_counter()
     coarse_solution = solve_fn(coarse_graph, instance.capacity)
     t2 = time.perf_counter()
-    full = inflate(coarse_solution, history, graph)
-    full = light_postprocess(full, graph, instance.capacity)
+    routes = repair_stops(expand_stops(coarse_solution, history, graph), graph,
+                          instance.capacity)
+    full = Solution(routes, coarse_solution.solver, graph.name,
+                    coarse_solution.flagged_routes)
     t3 = time.perf_counter()
-    coarse_metrics = evaluate(coarse_solution, coarse_graph, instance.capacity)
-    metrics = evaluate(full, graph, instance.capacity)
+    coarse_metrics = aggregate_metrics(coarse_solution.routes)
+    metrics = aggregate_metrics(routes)
     return PipelineResult(
         solution=full, coarse_solution=coarse_solution, coarse_graph=coarse_graph,
         coarse_metrics=coarse_metrics, metrics=metrics,
@@ -92,13 +108,23 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
 
 
 def solve_baseline(instance: Instance, solver: str) -> tuple[Solution, Metrics, float, dict]:
+    """Solve the uncoarsened instance; the metrics are aggregated from the
+    solver's routes, which it schedules on that graph with the capacity."""
     solve_fn = SOLVERS[solver]
     graph = Graph.from_instance(instance)
     t0 = time.perf_counter()
     solution = solve_fn(graph, instance.capacity)
     solve_ms = (time.perf_counter() - t0) * 1e3
-    metrics = evaluate(solution, graph, instance.capacity)
+    metrics = aggregate_metrics(solution.routes)
     return solution, metrics, objective_score(metrics), {"solve_ms": solve_ms}
+
+
+def trial_solution(instance: Instance, trial: TrialResult) -> Solution:
+    """A trial's final solution, scheduled from its stop lists on the
+    original graph as run_pipeline's repair scheduled it."""
+    graph = Graph.from_instance(instance)
+    return Solution([recompute_schedule(stops, graph, instance.capacity)
+                     for stops in trial.stops], trial.solver, graph.name)
 
 
 def run_baseline(instance: Instance, solver: str) -> TrialResult:
@@ -152,7 +178,8 @@ def run_trial(instance: Instance, space: SearchSpace, seed: int, index: int,
                        coarse_metrics=out.coarse_metrics, metrics=out.metrics,
                        score=out.score, coarsen_ms=out.timings["coarsen_ms"],
                        solve_ms=out.timings["solve_ms"],
-                       inflate_ms=out.timings["inflate_ms"])
+                       inflate_ms=out.timings["inflate_ms"],
+                       stops=tuple(tuple(r.stops) for r in out.solution.routes))
 
 
 def random_search(instance: Instance, space: SearchSpace, n_trials: int, seed: int,
@@ -160,7 +187,9 @@ def random_search(instance: Instance, space: SearchSpace, n_trials: int, seed: i
     """Run n_trials sampled configurations; returns (best, all_trials).
 
     Best is the lowest objective score, ties going to the earlier trial.
-    Identical output for any `jobs` value.
+    Each trial runs once and carries its own final stop lists, metrics and
+    timings, so the best one's solution is rebuilt from its `stops` without
+    running it again. Identical output for any `jobs` value.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")

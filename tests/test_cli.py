@@ -10,8 +10,11 @@ import pytest
 
 import coarsevrp
 from coarsevrp.cli import main
-from coarsevrp.instances import read_solution, write_solomon
+from coarsevrp.coarsening import CoarseningParams
+from coarsevrp.instances import (build_solution_document, load_instance, read_solution,
+                                 write_solomon)
 from coarsevrp.report import REFERENCE_IMPROVEMENTS
+from coarsevrp.tuning import run_pipeline
 
 import gen
 
@@ -83,6 +86,20 @@ def test_poisoned_instance_is_validation_error(tmp_path, instance_file, capsys,
     assert rc == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline", "tune"])
+def test_short_customer_row_is_validation_error(tmp_path, instance_file, capsys, command):
+    lines = instance_file.read_text().rstrip("\n").splitlines()
+    lines[-1] = "   ".join(lines[-1].split()[:6])    # the last customer loses a column
+    bad = tmp_path / "short.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = ["--out-dir", str(tmp_path / "run")] if command == "tune" else \
+        ["-o", str(tmp_path / "out.json")]
+    rc = main([command, str(bad), *out])
+    assert rc == 2
+    assert "expected 7" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "run").exists()
 
 
 def test_solve_warns_on_stderr_when_coarsening_stalls(tmp_path, instance_file, capsys):
@@ -190,6 +207,35 @@ def test_tune_deterministic_modulo_timings(tmp_path, instance_file):
         rows.append([{k: v for k, v in r.items() if k not in timing_cols}
                      for r in rws])
     assert rows[0] == rows[1]
+
+
+def test_tune_output_is_the_same_for_any_jobs(tmp_path, instance_file):
+    timing_cols = ("coarsen_ms", "solve_ms", "inflate_ms")
+    outputs = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert main(["tune", str(instance_file), "--trials", "6", "--seed", "7",
+                     "--jobs", jobs, "--out-dir", str(out_dir)]) == 0
+        tables = [[{k: v for k, v in row.items() if k not in timing_cols}
+                   for row in _read_rows(out_dir / name)]
+                  for name in ("trials.csv", "baselines.csv")]
+        doc = read_solution(out_dir / "best_solution.json")
+        del doc["timings"]
+        outputs.append((tables, doc))
+    assert outputs[0] == outputs[1]
+    # the best trial's document equals one rebuilt by running its parameters again
+    (trials, _), doc = outputs[0]
+    best = min(trials, key=lambda row: (float(row["score"]), int(row["trial"])))
+    params = CoarseningParams(alpha=float(best["alpha"]), beta=float(best["beta"]),
+                              p_target=float(best["p"]),
+                              radius_coeff=float(best["radius_coeff"]),
+                              propagation=best["propagation"])
+    instance = load_instance(instance_file)
+    out = run_pipeline(instance, params, best["solver"])
+    rebuilt = build_solution_document(out.solution, instance, out.metrics,
+                                      {**doc["params"]}, seed=7)
+    del rebuilt["timings"]
+    assert json.loads(json.dumps(rebuilt)) == doc
 
 
 def test_tune_config_file_and_overrides(tmp_path, instance_file):

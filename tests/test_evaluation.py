@@ -90,4 +90,5 @@ def test_duration_decomposition():
     route = recompute_schedule([0, *ids, 0], g)
     wait = sum(st.wait for st in route.schedule)
     service = sum(g.node(s).service for s in route.stops)
-    assert abs(route.duration - (route.distance(g) + wait + service)) < 1e-6
+    assert route.distance == sum(g.tau(a, b) for a, b in zip(route.stops, route.stops[1:]))
+    assert abs(route.duration - (route.distance + wait + service)) < 1e-6

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsevrp.coarsening import (CoarseningParams, MergeHistory, MergeRecord,
-                                  coarsen)
+from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeHistory,
+                                  MergeRecord, coarsen)
 from coarsevrp.evaluation import evaluate
 from coarsevrp.graph import DEPOT_ID, TAU_MODES, Graph, recompute_schedule
 from coarsevrp.heuristics import Solution, greedy_solve, savings_solve
-from coarsevrp.inflation import InflationError, inflate, light_postprocess
+from coarsevrp.inflation import (InflationError, expansion_map, inflate,
+                                 light_postprocess)
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -223,3 +224,25 @@ def test_postprocess_equals_reference(inst, radius, tau_mode, solver):
     rough = inflate(solver(cg, inst.capacity), hist, g)
     assert (light_postprocess(rough, g, inst.capacity)
             == reference_light_postprocess(rough, g, inst.capacity))
+
+
+# ---------------------------------------------------------------------------
+# coarse members against the merge history
+
+@pytest.mark.parametrize("propagation", PROPAGATION_MODES)
+@pytest.mark.parametrize("tau_mode", TAU_MODES)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 60),
+       radius=st.sampled_from([1.0, 4.0, 8.0]), p=st.sampled_from([0.1, 0.5]))
+def test_members_are_the_expansion_of_the_merge_history(tau_mode, propagation,
+                                                        seed, n, radius, p):
+    g = Graph.from_instance(gen.random_instance(seed, n, family="mixed", horizon=1000.0))
+    cg, hist = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=p,
+                                           radius_coeff=radius, propagation=propagation,
+                                           tau_mode=tau_mode))
+    expand = expansion_map(hist)            # the map inflate expands through
+    assert set(expand) == {rec.super_id for rec in hist}
+    for node in cg.customers:
+        assert list(node.members) == expand.get(node.id, [node.id])
+    assert sorted(m for node in cg.customers for m in node.members) == g.customer_ids()
+

@@ -76,6 +76,24 @@ def test_parse_rejects_poisoned_customer_rows(bad, match):
         parse_solomon(SOLOMON_TOY.replace("    1      45         68", bad))
 
 
+@pytest.mark.parametrize("cut", [1, 6], ids=["last-column", "all-but-id"])
+def test_parse_rejects_short_customer_row(cut):
+    lines = SOLOMON_TOY.splitlines()
+    lines[-1] = "   ".join(lines[-1].split()[:-cut])    # customer 2 cut short
+    with pytest.raises(InstanceError, match="expected 7"):
+        parse_solomon("\n".join(lines) + "\n")
+
+
+def test_parse_rejects_long_customer_row():
+    with pytest.raises(InstanceError, match="has 8 numbers"):
+        parse_solomon(SOLOMON_TOY.rstrip("\n") + "   5\n")
+
+
+def test_parse_skips_header_and_blank_customer_lines():
+    padded = SOLOMON_TOY.replace("    1      45", "\n   \nCUST NO. ID\n    1      45")
+    assert parse_solomon(padded) == parse_solomon(SOLOMON_TOY)
+
+
 def test_parse_rejects_non_finite_capacity():
     with pytest.raises(InstanceError, match="non-finite"):
         parse_solomon(SOLOMON_TOY.replace("  25         200", "  25         nan"))

@@ -12,7 +12,7 @@ from coarsevrp.heuristics import savings_solve
 from coarsevrp.instances import TRIAL_FIELDS, trial_row
 from coarsevrp.tuning import (SOLVERS, SearchSpace, TrialResult, random_search,
                               run_baseline, run_pipeline, run_trial,
-                              sample_params, trial_seed)
+                              sample_params, trial_seed, trial_solution)
 
 import gen
 
@@ -91,6 +91,33 @@ def test_pipeline_with_p_one_equals_baseline():
     base = savings_solve(g, inst.capacity)
     assert [r.stops for r in out.solution.routes] == [r.stops for r in base.routes]
     assert out.metrics == evaluate(base, g, inst.capacity)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=gen.windowed_instances(max_customers=20), radius=st.sampled_from([2.0, 6.0]))
+def test_pipeline_metrics_equal_evaluate_on_the_same_routes(inst, radius):
+    # run_pipeline aggregates the routes it scheduled; evaluate recomputes them
+    g = Graph.from_instance(inst)
+    for tau_mode, propagation, solver in product(TAU_MODES, PROPAGATION_MODES, SOLVERS):
+        params = CoarseningParams(alpha=0.9, beta=0.1, p_target=0.2, radius_coeff=radius,
+                                  propagation=propagation, tau_mode=tau_mode)
+        out = run_pipeline(inst, params, solver)
+        case = (tau_mode, propagation, solver)
+        assert out.metrics == evaluate(out.solution, g, inst.capacity), case
+        assert out.coarse_metrics == evaluate(out.coarse_solution, out.coarse_graph,
+                                              inst.capacity), case
+
+
+def test_trial_carries_its_final_stops():
+    inst = gen.random_instance(26, 30, family="mixed")
+    res = run_trial(inst, SearchSpace(), seed=9, index=3)
+    params = CoarseningParams(alpha=res.alpha, beta=res.beta, p_target=res.p,
+                              radius_coeff=res.radius_coeff, propagation=res.propagation)
+    out = run_pipeline(inst, params, res.solver)
+    assert res.stops == tuple(tuple(r.stops) for r in out.solution.routes)
+    assert trial_solution(inst, res).routes == out.solution.routes
+    assert res.timings == {"coarsen_ms": res.coarsen_ms, "solve_ms": res.solve_ms,
+                           "inflate_ms": res.inflate_ms}
 
 
 def test_random_search_reproducible():
