@@ -17,8 +17,8 @@ from .instances import (DocumentError, InstanceError, build_solution_document,
                         write_trials_csv)
 from .plotting import render_solution_svg
 from .report import build_report, format_report, write_report_csv
-from .tuning import (SearchSpace, random_search, run_baseline, run_pipeline, solve_baseline,
-                     trial_solution)
+from .tuning import (SOLVERS, SearchSpace, random_search, run_baseline, run_pipeline,
+                     solve_baseline, trial_solution)
 
 
 def _summary_line(tag: str, metrics, score: float) -> str:
@@ -80,12 +80,20 @@ def _space_from(args) -> SearchSpace:
               "radius_coeffs": float, "solvers": str}
     values = {}
     for name, cast in fields.items():
-        if getattr(args, name, None):          # CLI flag wins
-            values[name] = tuple(cast(v) for v in getattr(args, name).split(","))
+        flag = getattr(args, name, None)
+        if flag is not None:                   # CLI flag wins
+            raw = flag.split(",") if flag else []
         elif name in cfg:
-            values[name] = tuple(cast(v) for v in cfg[name])
+            raw = cfg[name]
         else:
             values[name] = getattr(space, name)
+            continue
+        if not isinstance(raw, list) or not raw:
+            raise DocumentError(f"{name} must be a non-empty list")
+        try:
+            values[name] = tuple(cast(v) for v in raw)
+        except (TypeError, ValueError) as exc:
+            raise DocumentError(f"{name}: {exc}") from exc
     return SearchSpace(**values)
 
 
@@ -93,13 +101,13 @@ def cmd_tune(args) -> int:
     instance = load_instance(args.instance)
     space = _space_from(args)
     for solver in space.solvers:
-        if solver not in ("greedy", "savings"):
+        if solver not in SOLVERS:
             raise DocumentError(f"unknown solver in search space: {solver!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     best, trials = random_search(instance, space, args.trials, args.seed,
                                  propagation=args.propagation, jobs=args.jobs)
-    baselines = [run_baseline(instance, s) for s in ("greedy", "savings")]
+    baselines = [run_baseline(instance, s) for s in SOLVERS]
     write_trials_csv(out_dir / "trials.csv",
                      [trial_row(t, instance.name, args.seed) for t in trials])
     write_trials_csv(out_dir / "baselines.csv",
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--solver", choices=("greedy", "savings"), default="savings")
+    p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
     p.add_argument("--propagation", choices=("relaxed", "conservative"), default="relaxed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="solve the uncoarsened instance")
     add_instance(p)
-    p.add_argument("--solver", choices=("greedy", "savings"), default="savings")
+    p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
     p.set_defaults(fn=cmd_baseline)

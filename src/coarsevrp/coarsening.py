@@ -9,7 +9,9 @@ found on the small graph can later be expanded back onto the original one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graph import TAU_MODES, CoarseNode, Graph
 
@@ -80,13 +82,6 @@ def st_distance(i: CoarseNode, j: CoarseNode, tau_ij: float,
                 alpha: float, beta: float, mode: str = "nominal") -> float:
     """Combined spatio-temporal distance alpha*tau + beta*separation."""
     return alpha * tau_ij + beta * temporal_separation(i, j, tau_ij, mode)
-
-
-def pair_weight(i: CoarseNode, j: CoarseNode, tau_ij: float,
-                params: CoarseningParams) -> float:
-    """alpha*tau + beta*|t_i - t_j|, i.e. st_distance in nominal mode: the
-    weight coarsen ranks pairs by, which candidate_pairs writes out inline."""
-    return params.alpha * tau_ij + params.beta * abs(i.nominal_t - j.nominal_t)
 
 
 def merge_feasibility(i: CoarseNode, j: CoarseNode, tau_ij: float) -> tuple[bool, bool]:
@@ -162,92 +157,67 @@ def merge_pair(graph: Graph, i: int, j: int, order: tuple[int, int],
     return graph, super_node
 
 
-# Why the grid in `candidate_pairs` drops no candidate. A candidate has
+# Why the sweep in `candidate_pairs` drops no candidate. A candidate has
 # alpha*tau <= rho and beta*|dt| <= rho (both terms of its weight are >= 0),
 # and tau >= the distance between the two positions: midpoint tau is that
 # distance, and conservative tau is a max over the children, which by
-# convexity is at least the distance to their midpoint. So its coordinates
-# differ by at most one cell side, rho/alpha in space and rho/beta in time,
-# and values at most one side apart land in the same or adjacent cells. The
-# float rounding in those bounds is a few ulps relative, and the cell index
-# stays below _MAX_CELLS, so its rounding error is below 2**-30; the cells
-# are widened by _CELL_MARGIN, far more than both.
-_CELL_MARGIN = 1e-6
-_MAX_CELLS = 1 << 20
-_FORWARD_NEIGHBOURS = [(dx, dy, dt) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                       for dt in (-1, 0, 1) if (dx, dy, dt) > (0, 0, 0)]
-
-
-def _cells(values, weight: float, rho: float) -> list[int]:
-    """Cell index of each value on a grid of side rho/weight; one cell if weight is 0."""
-    lo = min(values)
-    side = max(rho / weight if weight else math.inf, (max(values) - lo) / _MAX_CELLS)
-    if not 0 < side < math.inf:         # weight 0, or overflow, or all values equal
-        return [0] * len(values)
-    side *= 1 + _CELL_MARGIN
-    return [int((v - lo) // side) for v in values]
+# convexity is at least the distance to their midpoint. So the two x, the
+# two y and the two nominal times differ by at most one window, rho/alpha in
+# space and rho/beta in time, on whichever axis the rows are sorted. The
+# float rounding in those bounds is a few ulps relative, and rounding
+# key + window is monotone, so widening the window by _WINDOW_MARGIN, far
+# more than those ulps, keeps every candidate.
+_WINDOW_MARGIN = 1e-6
 
 
 def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
-    """Customer pairs (w, i, j), i < j, with pair_weight w <= rho, sorted;
-    none when rho is 0.
+    """Customer pairs (w, i, j), i < j, with weight w = alpha*tau +
+    beta*|t_i - t_j| <= rho (st_distance in nominal mode), sorted; none when
+    rho is 0.
 
-    Customers are bucketed on a grid over (x, y, nominal_t) with spatial side
-    rho/alpha and temporal side rho/beta, and only pairs in the same or
-    adjacent cells are weighed; the pruning is exact (see _CELL_MARGIN).
-    Each customer becomes one (x, y, nominal_t, id) row, and each cell
-    gathers its own rows and those of its forward neighbours once; a member
-    is weighed against the rows after it. A pair is weighed once, from the
-    two positions. That weight is exact unless the graph stores travel times
-    (Graph.stores_taus), and then it is a lower bound (see _CELL_MARGIN), so
-    only then are the pairs it keeps weighed again with Graph.taus.
-    Returns (candidates, pairs_scanned), the latter counting weighed pairs.
+    Each customer becomes one (x, y, nominal_t, id) row. The rows are sorted
+    on one axis, x, y or nominal time, whichever window (rho/alpha or
+    rho/beta) covers the smallest share of its values' spread, and each row
+    is weighed against the rows after it that lie within one window; the
+    pruning is exact (see _WINDOW_MARGIN). A round costs O(n log n + pairs
+    in the window). A pair is weighed from the two positions. That weight is
+    exact unless the graph stores travel times (Graph.stores_taus), and then
+    it is a lower bound, so only then are the pairs it keeps weighed again
+    with Graph.tau. Returns (candidates, pairs_scanned), the latter counting
+    the pairs weighed from positions.
     """
     nodes = graph.customers
     if rho <= 0 or len(nodes) < 2:
         return [], 0
     alpha, beta, hypot = params.alpha, params.beta, math.hypot
-    xs = _cells([n.x for n in nodes], alpha, rho)
-    ys = _cells([n.y for n in nodes], alpha, rho)
-    ts = _cells([n.nominal_t for n in nodes], beta, rho)
-    # A cell (cx, cy, ct) is keyed by the int (cx * s + cy) * s + ct. Every
-    # index is at most s - 2, so a neighbour's is in [-1, s - 1]: adding the
-    # neighbour's offset to a key gives the neighbour's key, or a key with a
-    # base-s digit s - 1 (an index -1 borrows), which no cell has.
-    s = max(max(xs), max(ys), max(ts)) + 2
-    offsets = [(dx * s + dy) * s + dt for dx, dy, dt in _FORWARD_NEIGHBOURS]
-    cells = {}
-    for node, cx, cy, ct in zip(nodes, xs, ys, ts):
-        cells.setdefault((cx * s + cy) * s + ct, []).append(
-            (node.x, node.y, node.nominal_t, node.id))
-    stored = graph.stores_taus
-    get = cells.get
+    rows = [(n.x, n.y, n.nominal_t, n.id) for n in nodes]
+    xy_side = rho / alpha if alpha else math.inf
+    t_side = rho / beta if beta else math.inf
+
+    def share(axis_side):               # of the axis's spread one window covers
+        axis, side = axis_side
+        values = [row[axis] for row in rows]
+        spread = max(values) - min(values)
+        return side / spread if spread and side < math.inf else math.inf
+
+    axis, side = min(((0, xy_side), (1, xy_side), (2, t_side)), key=share)
+    side *= 1 + _WINDOW_MARGIN
+    rows.sort(key=itemgetter(axis))
+    keys = [row[axis] for row in rows]
     candidates = []
     scanned = 0
-    for key, members in cells.items():
-        rows = members[:]
-        for offset in offsets:
-            other = get(key + offset)
-            if other is not None:
-                rows += other
-        m = len(members)
-        scanned += m * len(rows) - m * (m + 1) // 2
-        for k in range(m):
-            ax, ay, at, i = members[k]
-            if not stored:
-                candidates += [(w, i, j) if i < j else (w, j, i)
-                               for bx, by, bt, j in rows[k + 1:]
-                               if (w := alpha * hypot(ax - bx, ay - by)
-                                   + beta * abs(at - bt)) <= rho]
-                continue
-            near = [(bt, j) for bx, by, bt, j in rows[k + 1:]
-                    if alpha * hypot(ax - bx, ay - by) + beta * abs(at - bt) <= rho]
-            if not near:
-                continue
-            for (bt, j), tau in zip(near, graph.taus(i, [j for _, j in near])):
-                w = alpha * tau + beta * abs(at - bt)      # pair_weight
-                if w <= rho:
-                    candidates.append((w, i, j) if i < j else (w, j, i))
+    for k, (ax, ay, at, i) in enumerate(rows):
+        end = bisect_right(keys, keys[k] + side, k + 1)
+        scanned += end - k - 1
+        candidates += [(w, i, j) if i < j else (w, j, i)
+                       for bx, by, bt, j in rows[k + 1:end]
+                       if (w := alpha * hypot(ax - bx, ay - by)
+                           + beta * abs(at - bt)) <= rho]
+    if graph.stores_taus:
+        tau, node = graph.tau, graph.node
+        candidates = [(w, i, j) for _, i, j in candidates
+                      if (w := alpha * tau(i, j)
+                          + beta * abs(node(i).nominal_t - node(j).nominal_t)) <= rho]
     candidates.sort()
     return candidates, scanned
 
@@ -259,9 +229,10 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     spatio-temporal distance, then greedily match (each node once, depot
     never, infeasible orders and empty conservative windows skipped) and
     apply every matched merge. A pair within the radius has alpha*tau and
-    beta*|dt| both <= rho, so only pairs in neighbouring cells of a grid
-    with sides rho/alpha and rho/beta are weighed: a round costs O(cells +
-    pairs in neighbouring cells), plus Graph.contract's conservative entries.
+    beta*|dt| both <= rho, so after a sort on one axis only pairs within
+    rho/alpha in space or rho/beta in time there are weighed: a round costs
+    O(n log n + pairs in the window), plus Graph.contract's conservative
+    entries.
     Stops at the target size or as soon as a round produces no merge.
     Returns (coarse_graph, history); `trace`, when given, collects one
     summary dict per round, and the last one gets "stop": "target" or

@@ -30,10 +30,6 @@ class Solution:
         return out
 
 
-def _route(stops, graph, capacity) -> Route:
-    return recompute_schedule(stops, graph, capacity)
-
-
 def greedy_solve(graph: Graph, capacity: float) -> Solution:
     """Nearest-feasible-neighbour construction.
 
@@ -77,9 +73,9 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
             # nothing fits even a fresh vehicle: emit the rest as flagged singletons
             for c in unrouted:
                 flagged.append(len(routes))
-                routes.append(_route([DEPOT_ID, c, DEPOT_ID], graph, capacity))
+                routes.append(recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity))
             break
-        routes.append(_route(stops + [DEPOT_ID], graph, capacity))
+        routes.append(recompute_schedule(stops + [DEPOT_ID], graph, capacity))
     return Solution(routes, "greedy", graph.name, tuple(flagged))
 
 
@@ -153,7 +149,7 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         for c in tail:
             route_of[c] = front
         del routes[back], loads[back], late[back], ends[back], viols[back]
-    final = [_route([DEPOT_ID, *routes[k], DEPOT_ID], graph, capacity)
+    final = [recompute_schedule([DEPOT_ID, *routes[k], DEPOT_ID], graph, capacity)
              for k in sorted(routes)]
     return Solution(final, "savings", graph.name)
 

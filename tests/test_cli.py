@@ -261,6 +261,23 @@ def test_tune_bad_config_is_validation_error(tmp_path, instance_file, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cfg,flags,message", [
+    ({"alphas": 0.5}, [], "alphas must be a non-empty list"),
+    ({"alphas": []}, [], "alphas must be a non-empty list"),
+    ({"solvers": "greedy"}, [], "solvers must be a non-empty list"),
+    ({}, ["--alphas", ""], "alphas must be a non-empty list"),
+    ({"betas": [None]}, [], "betas: ")])
+def test_tune_space_field_must_be_a_non_empty_list(tmp_path, instance_file, capsys,
+                                                   cfg, flags, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["tune", str(instance_file), "--trials", "2", "--config", str(path), *flags,
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_report_table(tmp_path, instance_file, capsys):
     out_dir = tmp_path / "run"
     assert main(["tune", str(instance_file), "--trials", "4", "--seed", "7",

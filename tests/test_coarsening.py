@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeRecord,
                                   aggregate_window, candidate_pairs, choose_direction,
                                   coarsen, merge_feasibility, merge_pair, merge_slack,
-                                  pair_weight, radius_threshold, st_distance,
+                                  radius_threshold, st_distance,
                                   temporal_separation)
 from coarsevrp.graph import TAU_MODES, CoarseNode, Graph, travel_time
 from coarsevrp.instances import Customer, Instance
@@ -324,10 +324,10 @@ def test_weight_order_invariant_under_joint_scaling():
     p1 = CoarseningParams(alpha=0.2, beta=0.6)
     p2 = CoarseningParams(alpha=1.0, beta=3.0)    # same ratio, 5x scale
     pairs = [(i, j) for k, i in enumerate(ids) for j in ids[k + 1:]]
-    w1 = sorted(pairs, key=lambda p: (pair_weight(g.node(p[0]), g.node(p[1]),
-                                                  g.tau(*p), p1), p))
-    w2 = sorted(pairs, key=lambda p: (pair_weight(g.node(p[0]), g.node(p[1]),
-                                                  g.tau(*p), p2), p))
+    w1 = sorted(pairs, key=lambda p: (st_distance(g.node(p[0]), g.node(p[1]), g.tau(*p),
+                                                  p1.alpha, p1.beta), p))
+    w2 = sorted(pairs, key=lambda p: (st_distance(g.node(p[0]), g.node(p[1]), g.tau(*p),
+                                                  p2.alpha, p2.beta), p))
     assert w1 == w2
 
 
@@ -412,7 +412,7 @@ def test_coarse_travel_times_follow_positions_or_members(seed, n, tau_mode, prop
 
 
 # ---------------------------------------------------------------------------
-# grid-pruned candidate scan (property tests)
+# sweep-pruned candidate scan (property tests)
 
 def _full_scan(graph, params, rho):
     """Every customer pair weighed, the way coarsen ranked them before pruning."""
@@ -474,32 +474,54 @@ def test_pruned_scan_equals_full_scan(case):
 @pytest.mark.parametrize("weight", [0.3, 0.5, 0.7, 0.9, 1.0])
 @pytest.mark.parametrize("rho", [0.1, 1.0, 3.7, 12.5])
 def test_scan_keeps_pairs_one_cell_side_apart(weight, rho):
-    # customers a cell side apart (rho/alpha in x, then rho/beta in nominal
-    # time) behind an anchor at 0, so every neighbouring pair straddles a cell
-    # boundary, at offsets that put the first one just below a boundary too
+    # customers one window apart (rho/alpha in x, then in y, then rho/beta in
+    # nominal time) behind an anchor at 0, so the sweep runs along that axis
+    # and every neighbouring pair sits at the window's edge, at offsets that
+    # put the first one just inside a window of the anchor too
     side = rho / weight
     offsets = [k / 16 for k in range(16)] + [1 - 10.0**-k for k in range(2, 13, 2)]
     boundary_pairs = 0
     for offset in offsets:
         xs = [0.0] + [(offset + k) * side for k in range(6)]
-        spatial = _graph_of([(x, 0.0) for x in xs], [(100, 50, 0)] * 7)
+        along_x = _graph_of([(x, 0.0) for x in xs], [(100, 50, 0)] * 7)
+        along_y = _graph_of([(0.0, x) for x in xs], [(100, 50, 0)] * 7)
         temporal = _graph_of([(5.0, 5.0)] * 7, [(x, 0, 0) for x in xs])
-        for g, params in ((spatial, CoarseningParams(alpha=weight, beta=0.0)),
+        for g, params in ((along_x, CoarseningParams(alpha=weight, beta=0.0)),
+                          (along_y, CoarseningParams(alpha=weight, beta=0.0)),
                           (temporal, CoarseningParams(alpha=0.0, beta=weight))):
             candidates, _ = candidate_pairs(g, params, rho)
             assert candidates == _full_scan(g, params, rho)
             boundary_pairs += sum(i > 1 and j == i + 1 for _, i, j in candidates)
     # neighbours sit at w ~ rho; rounding pushes some of them just past it
-    assert boundary_pairs >= 2 * len(offsets)
+    assert boundary_pairs >= 3 * len(offsets)
+
+
+@pytest.mark.parametrize("weight,rho,a,b", [
+    (0.1, 32.95879881751642, 88.69257287109427, 418.28056104625847),
+    (0.43602256292313024, 40.30683991869017, 22.905284900868562, 115.3473815861178)])
+def test_scan_window_margin_keeps_pairs_rounding_puts_past_the_window(weight, rho, a, b):
+    # weight*|a - b| <= rho in floats, yet b > a + rho/weight: only the margin keeps the pair
+    assert weight * (b - a) <= rho and b > a + rho / weight
+    for g, params in ((_graph_of([(a, 0.0), (b, 0.0)], [(100, 50, 0)] * 2),
+                       CoarseningParams(alpha=weight, beta=0.0)),
+                      (_graph_of([(0.0, a), (0.0, b)], [(100, 50, 0)] * 2),
+                       CoarseningParams(alpha=weight, beta=0.0))):
+        candidates, _ = candidate_pairs(g, params, rho)
+        assert candidates == _full_scan(g, params, rho) != []
 
 
 @pytest.mark.parametrize("alpha,rho", [(1e300, 1e-30), (1e-320, 1.0), (0.5, 1e300)])
 def test_scan_survives_degenerate_cell_sides(alpha, rho):
-    # cell sides that underflow to 0 on a flat axis or overflow to inf
+    # windows that underflow to 0 on a flat axis or overflow to inf
     g = _graph_of([(float(k), 0.0) for k in range(6)], [(0, 500, 5)] * 6)
     params = CoarseningParams(alpha=alpha, beta=0.5)
     candidates, _ = candidate_pairs(g, params, rho)
     assert candidates == _full_scan(g, params, rho)
+    # every weighted axis has zero spread: no axis prunes, so all pairs are weighed
+    g = _graph_of([(3.0, 4.0)] * 6, [(0, 500, 5)] * 6)
+    candidates, scanned = candidate_pairs(g, params, rho)
+    assert candidates == _full_scan(g, params, rho)
+    assert scanned == 6 * 5 // 2
 
 
 @settings(max_examples=50, deadline=None)

@@ -213,9 +213,9 @@ def test_heuristics_never_beat_the_oracle():
 
 def reference_savings_solve(graph, capacity):
     """savings_solve as it was before its pair list, sort and merge test were
-    made cheap, kept verbatim (heuristics._route spelt recompute_schedule):
-    one tau call per pair, a sort on whole tuples and a full schedule rebuild
-    per merge tested. savings_solve must return the same routes."""
+    made cheap, kept verbatim: one tau call per pair, a sort on whole tuples
+    and a full schedule rebuild per merge tested. savings_solve must return
+    the same routes."""
     ids = graph.customer_ids()
     routes = {k: [c] for k, c in enumerate(ids)}        # interior stops only
     route_of = {c: k for k, c in enumerate(ids)}
