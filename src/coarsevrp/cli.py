@@ -10,11 +10,9 @@ import json
 import sys
 from pathlib import Path
 
-from .coarsening import CoarseningParams
-from .inflation import InflationError
-from .instances import (DocumentError, InstanceError, build_solution_document,
-                        load_instance, read_solution, trial_row, write_solution,
-                        write_trials_csv)
+from .coarsening import PROPAGATION_MODES, CoarseningParams
+from .instances import (DocumentError, build_solution_document, load_instance,
+                        read_solution, trial_row, write_solution, write_trials_csv)
 from .plotting import render_solution_svg
 from .report import build_report, format_report, write_report_csv
 from .tuning import (SOLVERS, SearchSpace, random_search, run_baseline, run_pipeline,
@@ -75,9 +73,13 @@ def _space_from(args) -> SearchSpace:
             raise DocumentError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DocumentError("config must be a JSON object")
-    space = SearchSpace()
     fields = {"alphas": float, "betas": float, "ps": float,
               "radius_coeffs": float, "solvers": str}
+    unknown = [k for k in cfg if k not in fields]
+    if unknown:
+        raise DocumentError(f"unknown config keys: {', '.join(unknown)} "
+                            f"(known: {', '.join(fields)})")
+    space = SearchSpace()
     values = {}
     for name, cast in fields.items():
         flag = getattr(args, name, None)
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
-    p.add_argument("--propagation", choices=("relaxed", "conservative"), default="relaxed")
+    p.add_argument("--propagation", choices=PROPAGATION_MODES, default="relaxed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
     p.set_defaults(fn=cmd_solve)
@@ -177,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--propagation", choices=("relaxed", "conservative"), default="relaxed")
+    p.add_argument("--propagation", choices=PROPAGATION_MODES, default="relaxed")
     p.add_argument("--config", help="JSON file with the search space")
     p.add_argument("--alphas", help="comma-separated override")
     p.add_argument("--betas", help="comma-separated override")
@@ -204,7 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, DocumentError, InflationError, ValueError) as exc:
+    except ValueError as exc:     # InstanceError, DocumentError and InflationError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -84,13 +84,6 @@ def savings_value(graph: Graph, i: int, j: int) -> float:
     return graph.tau(DEPOT_ID, i) + graph.tau(DEPOT_ID, j) - graph.tau(i, j)
 
 
-def _returns_late(graph: Graph, last: int, t: float) -> bool:
-    """Whether a vehicle leaving `last` at time t is late back at the depot."""
-    depot = graph.depot
-    arrival = t + graph.tau(last, DEPOT_ID)
-    return arrival + max(0.0, depot.ready - arrival) > depot.due
-
-
 def savings_solve(graph: Graph, capacity: float) -> Solution:
     """Parallel savings construction adapted to time windows.
 
@@ -124,7 +117,7 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     viols = {}       # late stops, depot return included
     for k, c in enumerate(ids):
         late[k], ends[k] = walk_schedule(graph, DEPOT_ID, 0.0, (c,))
-        viols[k] = late[k] + _returns_late(graph, c, ends[k])
+        viols[k] = late[k] + walk_schedule(graph, c, ends[k], (DEPOT_ID,))[0]
     for _, i, j in pairs:
         ri, rj = route_of[i], route_of[j]
         if ri == rj:
@@ -140,7 +133,7 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         tail = routes[back]
         back_late, end = walk_schedule(graph, routes[front][-1], ends[front], tail)
         merged_late = late[front] + back_late
-        merged_viols = merged_late + _returns_late(graph, tail[-1], end)
+        merged_viols = merged_late + walk_schedule(graph, tail[-1], end, (DEPOT_ID,))[0]
         if merged_viols > viols[front] + viols[back]:
             continue
         routes[front] += tail

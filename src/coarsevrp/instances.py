@@ -59,7 +59,7 @@ def _numbers(line: str) -> list[float]:
     return out
 
 
-def parse_solomon(text: str, name: str | None = None) -> Instance:
+def parse_solomon(text: str) -> Instance:
     """Parse a Solomon-layout instance.
 
     Expected shape: a title line, a VEHICLE section with a NUMBER/CAPACITY
@@ -70,11 +70,7 @@ def parse_solomon(text: str, name: str | None = None) -> Instance:
     lines = text.splitlines()
     stripped = [ln.strip() for ln in lines]
 
-    title = name
-    for ln in stripped:
-        if ln:
-            title = title or ln
-            break
+    title = next((ln for ln in stripped if ln), None)
     if title is None:
         raise InstanceError("empty instance file")
 
@@ -146,8 +142,7 @@ def _validate(name, vehicle_count, capacity, depot, customers):
 
 
 def load_instance(path: str | Path) -> Instance:
-    p = Path(path)
-    return parse_solomon(p.read_text(), name=None)
+    return parse_solomon(Path(path).read_text())
 
 
 def _fmt(v: float) -> str:
@@ -166,15 +161,21 @@ def write_solomon(instance: Instance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# solution documents
+# solution documents and trial CSVs: one name list per record
+
+PARAM_NAMES = ("alpha", "beta", "p", "radius_coeff", "propagation", "solver")
+METRIC_NAMES = ("total_distance", "num_vehicles", "total_duration",
+                "tw_violations", "capacity_violations", "feasible")   # Metrics' fields
+TIMING_NAMES = ("coarsen_ms", "solve_ms", "inflate_ms")
+
 
 def build_solution_document(solution, instance, metrics, params, seed=0, timings=None) -> dict:
     """Assemble the JSON-ready document for one solved instance.
 
     `instance` is anything with a `name`, a `depot` and `customers` that
     carry id/x/y: the `Instance` itself or a `Graph` built from it.
-    `params` is a mapping with keys alpha/beta/p/radius_coeff/propagation/solver
-    (missing keys are recorded as null). A `nodes` coordinate block is included
+    `params` is a mapping with the PARAM_NAMES keys (missing keys are
+    recorded as null). A `nodes` coordinate block is included
     so plotting needs nothing but the document.
     """
     timings = timings or {}
@@ -193,22 +194,10 @@ def build_solution_document(solution, instance, metrics, params, seed=0, timings
     return {
         "instance": instance.name,
         "seed": seed,
-        "params": {k: params.get(k) for k in
-                   ("alpha", "beta", "p", "radius_coeff", "propagation", "solver")},
+        "params": {k: params.get(k) for k in PARAM_NAMES},
         "routes": routes,
-        "metrics": {
-            "total_distance": metrics.total_distance,
-            "num_vehicles": metrics.num_vehicles,
-            "total_duration": metrics.total_duration,
-            "tw_violations": metrics.tw_violations,
-            "capacity_violations": metrics.capacity_violations,
-            "feasible": metrics.feasible,
-        },
-        "timings": {
-            "coarsen_ms": timings.get("coarsen_ms", 0.0),
-            "solve_ms": timings.get("solve_ms", 0.0),
-            "inflate_ms": timings.get("inflate_ms", 0.0),
-        },
+        "metrics": {k: getattr(metrics, k) for k in METRIC_NAMES},
+        "timings": {k: timings.get(k, 0.0) for k in TIMING_NAMES},
         "nodes": nodes,
     }
 
@@ -222,9 +211,15 @@ def validate_document(doc: dict) -> dict:
     missing = [k for k in _DOC_KEYS if k not in doc]
     if missing:
         raise DocumentError(f"document missing fields: {', '.join(missing)}")
-    for r in doc["routes"]:
-        if "stops" not in r:
-            raise DocumentError("route entry missing 'stops'")
+    routes = doc["routes"]
+    if not isinstance(routes, list) or not all(isinstance(r, dict) for r in routes):
+        raise DocumentError("'routes' must be a list of objects")
+    for r in routes:
+        stops = r.get("stops")
+        if not isinstance(stops, list) or not all(
+                isinstance(s, dict) and type(s.get("node_id")) is int for s in stops):
+            raise DocumentError("each route needs a 'stops' list of objects "
+                                "with an integer 'node_id'")
     return doc
 
 
@@ -240,42 +235,24 @@ def read_solution(path: str | Path) -> dict:
     return validate_document(doc)
 
 
-# ---------------------------------------------------------------------------
-# trial CSV reports
-
-TRIAL_FIELDS = [
-    "instance", "trial", "seed",
-    "alpha", "beta", "p", "radius_coeff", "propagation", "solver",
-    "coarse_total_distance", "coarse_num_vehicles", "coarse_total_duration",
-    "coarse_tw_violations", "coarse_capacity_violations", "coarse_feasible",
-    "total_distance", "num_vehicles", "total_duration",
-    "tw_violations", "capacity_violations", "feasible",
-    "score", "coarsen_ms", "solve_ms", "inflate_ms",
-]
+TRIAL_FIELDS = ["instance", "trial", "seed", *PARAM_NAMES,
+                *(f"coarse_{k}" for k in METRIC_NAMES), *METRIC_NAMES,
+                "score", *TIMING_NAMES]
 
 
 def trial_row(result, instance_name: str, seed) -> dict:
-    """Flatten a TrialResult into one CSV row (timings stay in the last columns)."""
-    row = {k: "" for k in TRIAL_FIELDS}
-    row.update(instance=instance_name, trial=result.trial, seed=seed,
-               propagation=result.propagation or "", solver=result.solver)
-    for k in ("alpha", "beta", "p", "radius_coeff"):
+    """Flatten a TrialResult into one CSV row (timings stay in the last columns);
+    a None parameter and missing coarse metrics are written as empty cells."""
+    row = {"instance": instance_name, "trial": result.trial, "seed": seed}
+    for k in PARAM_NAMES:
         v = getattr(result, k)
         row[k] = "" if v is None else v
-    if result.coarse_metrics is not None:
-        cm = result.coarse_metrics
-        row.update(coarse_total_distance=cm.total_distance,
-                   coarse_num_vehicles=cm.num_vehicles,
-                   coarse_total_duration=cm.total_duration,
-                   coarse_tw_violations=cm.tw_violations,
-                   coarse_capacity_violations=cm.capacity_violations,
-                   coarse_feasible=cm.feasible)
-    m = result.metrics
-    row.update(total_distance=m.total_distance, num_vehicles=m.num_vehicles,
-               total_duration=m.total_duration, tw_violations=m.tw_violations,
-               capacity_violations=m.capacity_violations, feasible=m.feasible,
-               score=result.score, coarsen_ms=result.coarsen_ms,
-               solve_ms=result.solve_ms, inflate_ms=result.inflate_ms)
+    coarse = result.coarse_metrics
+    row.update((f"coarse_{k}", "" if coarse is None else getattr(coarse, k))
+               for k in METRIC_NAMES)
+    row.update((k, getattr(result.metrics, k)) for k in METRIC_NAMES)
+    row["score"] = result.score
+    row.update((k, getattr(result, k)) for k in TIMING_NAMES)
     return row
 
 

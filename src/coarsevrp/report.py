@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .instances import read_trials_csv
+from .instances import DocumentError, read_trials_csv
 
 # Externally reported improvement percentages (distance, duration, vehicles)
 # for the savings solver on the classic benchmark instances, used purely for
@@ -21,13 +21,24 @@ REFERENCE_IMPROVEMENTS = {
     "RC103": (64.17, 68.90, 69.57),
 }
 
-REPORT_FIELDS = [
-    "instance", "solver",
-    "baseline_distance", "best_distance", "distance_impr_pct",
-    "baseline_duration", "best_duration", "duration_impr_pct",
-    "baseline_vehicles", "best_vehicles", "vehicles_impr_pct",
-    "baseline_tw", "best_tw",
-    "ref_distance_impr_pct", "ref_duration_impr_pct", "ref_vehicles_impr_pct",
+# (report name, trial CSV column, type) in REFERENCE_IMPROVEMENTS order
+_COMPARED = (("distance", "total_distance", float), ("duration", "total_duration", float),
+             ("vehicles", "num_vehicles", int))
+_BASELINE_COLUMNS = ("solver", "tw_violations", *(column for _, column, _ in _COMPARED))
+_TRIAL_COLUMNS = ("instance", "trial", "score", *_BASELINE_COLUMNS)
+
+# (field, text header): the report's columns in order, for the table and the CSV
+REPORT_COLUMNS = [
+    ("instance", "instance"), ("solver", "solver"),
+    ("baseline_distance", "base dist"), ("best_distance", "best dist"),
+    ("distance_impr_pct", "dist%"),
+    ("baseline_duration", "base dur"), ("best_duration", "best dur"),
+    ("duration_impr_pct", "dur%"),
+    ("baseline_vehicles", "base veh"), ("best_vehicles", "best veh"),
+    ("vehicles_impr_pct", "veh%"),
+    ("baseline_tw", "base tw"), ("best_tw", "best tw"),
+    ("ref_distance_impr_pct", "ref dist%"), ("ref_duration_impr_pct", "ref dur%"),
+    ("ref_vehicles_impr_pct", "ref veh%"),
 ]
 
 
@@ -53,6 +64,13 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[dict]]:
     baselines = read_trials_csv(run_dir / "baselines.csv")
     if not trials or not baselines:
         raise ValueError(f"{run_dir}: empty trials or baselines CSV")
+    for name, rows, columns in (("trials.csv", trials, _TRIAL_COLUMNS),
+                                ("baselines.csv", baselines, _BASELINE_COLUMNS)):
+        missing = [c for c in columns if c not in rows[0]]
+        if missing:
+            raise DocumentError(f"{run_dir / name}: missing columns {', '.join(missing)}")
+        if any(None in row.values() for row in rows):
+            raise DocumentError(f"{run_dir / name}: a row has fewer cells than the header")
     return trials, baselines
 
 
@@ -78,26 +96,14 @@ def build_report(run_dirs) -> list[dict]:
             if not with_solver:
                 continue
             best = best_trial_row(with_solver)
-            row = {
-                "instance": instance, "solver": solver,
-                "baseline_distance": _f(base, "total_distance"),
-                "best_distance": _f(best, "total_distance"),
-                "distance_impr_pct": improvement(_f(base, "total_distance"),
-                                                 _f(best, "total_distance")),
-                "baseline_duration": _f(base, "total_duration"),
-                "best_duration": _f(best, "total_duration"),
-                "duration_impr_pct": improvement(_f(base, "total_duration"),
-                                                 _f(best, "total_duration")),
-                "baseline_vehicles": int(_f(base, "num_vehicles")),
-                "best_vehicles": int(_f(best, "num_vehicles")),
-                "vehicles_impr_pct": improvement(_f(base, "num_vehicles"),
-                                                 _f(best, "num_vehicles")),
-                "baseline_tw": int(_f(base, "tw_violations")),
-                "best_tw": int(_f(best, "tw_violations")),
-                "ref_distance_impr_pct": ref[0] if ref else None,
-                "ref_duration_impr_pct": ref[1] if ref else None,
-                "ref_vehicles_impr_pct": ref[2] if ref else None,
-            }
+            row = {"instance": instance, "solver": solver,
+                   "baseline_tw": int(_f(base, "tw_violations")),
+                   "best_tw": int(_f(best, "tw_violations"))}
+            for (name, column, cast), ref_pct in zip(_COMPARED, ref or (None,) * 3):
+                b, n = cast(_f(base, column)), cast(_f(best, column))
+                row.update({f"baseline_{name}": b, f"best_{name}": n,
+                            f"{name}_impr_pct": improvement(b, n),
+                            f"ref_{name}_impr_pct": ref_pct})
             rows.append(row)
     return rows
 
@@ -112,13 +118,10 @@ def _fmt(v):
 
 def format_report(rows: list[dict]) -> str:
     """Aligned text table: achieved improvements next to the reference ones."""
-    headers = ["instance", "solver", "base dist", "best dist", "dist%",
-               "base dur", "best dur", "dur%", "base veh", "best veh", "veh%",
-               "base tw", "best tw", "ref dist%", "ref dur%", "ref veh%"]
-    table = [headers]
+    table = [[header for _, header in REPORT_COLUMNS]]
     for r in rows:
-        table.append([_fmt(r[k]) for k in REPORT_FIELDS])
-    widths = [max(len(row[c]) for row in table) for c in range(len(headers))]
+        table.append([_fmt(r[k]) for k, _ in REPORT_COLUMNS])
+    widths = [max(len(row[c]) for row in table) for c in range(len(REPORT_COLUMNS))]
     lines = []
     for idx, row in enumerate(table):
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
@@ -129,7 +132,7 @@ def format_report(rows: list[dict]) -> str:
 
 def write_report_csv(path: str | Path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow([k for k, _ in REPORT_COLUMNS])
         for r in rows:
-            writer.writerow({k: ("" if r[k] is None else r[k]) for k in REPORT_FIELDS})
+            writer.writerow(["" if r[k] is None else r[k] for k, _ in REPORT_COLUMNS])

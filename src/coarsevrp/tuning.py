@@ -14,11 +14,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .coarsening import CoarseningParams, coarsen
-from .evaluation import DEFAULT_WEIGHTS, Metrics, aggregate_metrics, objective_score
+from .evaluation import Metrics, aggregate_metrics, objective_score
 from .graph import Graph, recompute_schedule
 from .heuristics import Solution, greedy_solve, savings_solve
 from .inflation import expand_stops, repair_stops
-from .instances import Instance
+from .instances import PARAM_NAMES, TIMING_NAMES, Instance
 
 SOLVERS = {"greedy": greedy_solve, "savings": savings_solve}
 
@@ -51,13 +51,10 @@ class TrialResult:
 
     @property
     def timings(self) -> dict:
-        return {"coarsen_ms": self.coarsen_ms, "solve_ms": self.solve_ms,
-                "inflate_ms": self.inflate_ms}
+        return {k: getattr(self, k) for k in TIMING_NAMES}
 
     def params_doc(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "p": self.p,
-                "radius_coeff": self.radius_coeff, "propagation": self.propagation,
-                "solver": self.solver}
+        return {k: getattr(self, k) for k in PARAM_NAMES}
 
 
 @dataclass
@@ -72,8 +69,7 @@ class PipelineResult:
     coarsening: list = field(default_factory=list)   # coarsen's per-round trace
 
 
-def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
-                 weights=DEFAULT_WEIGHTS) -> PipelineResult:
+def run_pipeline(instance: Instance, params: CoarseningParams, solver: str) -> PipelineResult:
     """coarsen -> solve on the small graph -> inflate -> light repairs -> score.
 
     The coarse routes are expanded to stop lists and handed to the repair
@@ -101,7 +97,7 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
     return PipelineResult(
         solution=full, coarse_solution=coarse_solution, coarse_graph=coarse_graph,
         coarse_metrics=coarse_metrics, metrics=metrics,
-        score=objective_score(metrics, weights),
+        score=objective_score(metrics),
         timings={"coarsen_ms": (t1 - t0) * 1e3, "solve_ms": (t2 - t1) * 1e3,
                  "inflate_ms": (t3 - t2) * 1e3},
         coarsening=rounds)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -175,6 +176,19 @@ def test_plot_empty_solution(tmp_path, instance_file):
     assert "<polyline" not in body and "<rect" in body
 
 
+@pytest.mark.parametrize("routes", [5, [5], [{"stops": [7]}], [{"stops": [{"node_id": None}]}]])
+def test_plot_rejects_malformed_routes(tmp_path, instance_file, capsys, routes):
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(instance_file), "-o", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["routes"] = routes
+    sol.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["plot", str(sol), "-o", str(tmp_path / "sol.svg")]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "sol.svg").exists()
+
+
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -266,7 +280,9 @@ def test_tune_bad_config_is_validation_error(tmp_path, instance_file, capsys):
     ({"alphas": []}, [], "alphas must be a non-empty list"),
     ({"solvers": "greedy"}, [], "solvers must be a non-empty list"),
     ({}, ["--alphas", ""], "alphas must be a non-empty list"),
-    ({"betas": [None]}, [], "betas: ")])
+    ({"betas": [None]}, [], "betas: "),
+    ({"alpha": [0.9], "solver": ["greedy"], "ps": [0.5]}, [],
+     "unknown config keys: alpha, solver ")])
 def test_tune_space_field_must_be_a_non_empty_list(tmp_path, instance_file, capsys,
                                                    cfg, flags, message):
     path = tmp_path / "cfg.json"
@@ -319,6 +335,20 @@ def test_report_includes_reference_for_known_names(tmp_path, capsys):
     assert "20.00" in printed                  # achieved distance improvement
 
 
+@pytest.mark.parametrize("header,cells,message", [
+    ("instance,trial,solver,total_distance,num_vehicles,total_duration,tw_violations",
+     "100.0,2,300.0,0", "missing columns score"),
+    ("instance,trial,solver,score,total_distance,num_vehicles,total_duration,tw_violations",
+     "1100.0,100.0,2", "fewer cells than the header")], ids=["no score column", "short row"])
+def test_report_rejects_malformed_trial_csv(tmp_path, capsys, header, cells, message):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name, trial in (("trials.csv", "0"), ("baselines.csv", "-1")):
+        (run / name).write_text(f"{header}\ncli20,{trial},savings,{cells}\n")
+    assert main(["report", str(run)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_console_script_entry_point(tmp_path, instance_file):
     out = tmp_path / "s.json"
     # the child imports the same copy of the package as this test
@@ -330,3 +360,105 @@ def test_console_script_entry_point(tmp_path, instance_file):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# sha256 of every file the CLI writes, and of what it prints, on two fixed
+# instances; timings are zeroed in documents and cut from the CSVs (their
+# last three columns), paths are replaced by "<tmp>"
+WRITTEN_DIGESTS = {
+    "baseline_greedy":
+        "dc2d2e8e1ba02597c6376079a174117b9b13615d008547fa3f6451804f21a378",
+    "baseline_greedy stdout":
+        "6e76d988651bbfea1f516820754dd6b3cc1a5b7af2dcc578c500fc7f54febec6",
+    "baseline_savings":
+        "e7cddb31a68fe639b183427a59ee54d0de77b8dcfa462cba602c772b53e3c0b1",
+    "baseline_savings stdout":
+        "406a85fe6ac3aa290d7148e3421edcb4928bacaa02465c3d6e73efe53710124f",
+    "plot stdout":
+        "05559f637c9d4a4f00b7d3af07b59807555a1252ee47f80f318300fb9d0cb8d4",
+    "plot.svg":
+        "6380958505c8b2abd60386254720035ba1af83ce0df45b9ae57f9b28cd114002",
+    "report stdout":
+        "a08b6ca9e038c227fd6d1b4ba88f1e385c086d8df77827ccbbab1adf340d4737",
+    "report.csv":
+        "d138b80fee98a86ec9051960a0a3c835e4ebead8f017d2e652c2fc395b3a6ce4",
+    "solve_conservative":
+        "cbcdba86d65dd2aad316ffa216ce7248a090500c187e1e211d6e281082285558",
+    "solve_conservative stdout":
+        "709d16097cf6cfa2d52e00b64e569e40b07646fe101935fe93548c6f22318eab",
+    "solve_defaults":
+        "6de92bea814ca8d0e4aa894fc14353c9b7500fb968442f1719f2291bd62e2eaa",
+    "solve_defaults stdout":
+        "bc46653c667f7b7c90b4a84e31e81de1c445234f2de43a6c9c4e78cd5a055cd6",
+    "solve_t6":
+        "a69fbafc4334bc1d8e31eab518df6b9ddfb73854a8e97f1d768fe375455714c8",
+    "solve_t6 stdout":
+        "98f5d8a132977736c70e6b16ae8a172eaf6bbac284cfbf724f237c9f5e1b1856",
+    "tune cli20 baselines.csv":
+        "4b2e65a4a41bdf7127fa4b6473f6d75891be454b2464e44fc19309719197c754",
+    "tune cli20 best_solution.json":
+        "6abd1a4d7f01209c9152a5002821836b6b0ffafa6d4c12cecdc27a307304a34f",
+    "tune cli20 stdout":
+        "e6fbbf0a26066dae134f692bd0d0b46319b0cecfd2f9786d4dd16c726a239167",
+    "tune cli20 trials.csv":
+        "ee16510550cf55650ebf3b7ab1512e7495ea831b0aac4828fe43c9bdb4b2a82c",
+    "tune synth_C101 baselines.csv":
+        "91ee4a79bf1fc2c878cc9d9fcf180b6d72662dbea566751b44f02f3857d9c770",
+    "tune synth_C101 best_solution.json":
+        "a2f9a1fba7f8edcf2ce0dd85520727f5ab349f3521b328d177ccc7ef349b51b8",
+    "tune synth_C101 stdout":
+        "4a6e0d6ceecfc075674db5f0e4ea8dfbff244cae5192670405370c7b7ce14e86",
+    "tune synth_C101 trials.csv":
+        "85db8c028188cd947aa1745c4896abe21159cbf49ce41c818f2d30273fef6bc1",
+}
+
+_TIMING_VALUE = re.compile(r'("(?:coarsen|solve|inflate)_ms": )[^,\n]+')
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_written_files_are_pinned(tmp_path, capsys):
+    paths = {}
+    for name, inst in (("cli20", gen.random_instance(55, 20, family="clustered", name="cli20")),
+                       ("synth_C101", gen.random_instance(8, 25, family="mixed",
+                                                          name="synth_C101"))):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(write_solomon(inst))
+    runs = {
+        "solve_defaults": ["solve", paths["cli20"]],
+        "solve_t6": ["solve", paths["cli20"], "--alpha", "0.9", "--beta", "0.1",
+                     "--p", "0.3", "--radius", "4"],
+        "solve_conservative": ["solve", paths["synth_C101"], "--alpha", "0.9",
+                               "--beta", "0.1", "--p", "0.3", "--radius", "4",
+                               "--propagation", "conservative"],
+        "baseline_greedy": ["baseline", paths["cli20"], "--solver", "greedy"],
+        "baseline_savings": ["baseline", paths["cli20"], "--solver", "savings"],
+    }
+    digests = {}
+
+    def record(key, argv):
+        assert main([str(a) for a in argv]) == 0
+        digests[f"{key} stdout"] = _sha(capsys.readouterr().out.replace(str(tmp_path), "<tmp>"))
+
+    for key, argv in runs.items():
+        out = tmp_path / f"{key}.json"
+        record(key, [*argv, "-o", out])
+        digests[key] = _sha(_TIMING_VALUE.sub(r"\g<1>0", out.read_text()))
+    for name in paths:
+        run = tmp_path / f"run_{name}"
+        record(f"tune {name}", ["tune", paths[name], "--trials", "4", "--seed", "3",
+                                "--jobs", "1", "--out-dir", run])
+        for csv_name in ("trials.csv", "baselines.csv"):
+            rows = run.joinpath(csv_name).read_bytes().decode().splitlines()
+            digests[f"tune {name} {csv_name}"] = _sha(
+                "\n".join(row.rsplit(",", 3)[0] for row in rows))
+        digests[f"tune {name} best_solution.json"] = _sha(
+            _TIMING_VALUE.sub(r"\g<1>0", run.joinpath("best_solution.json").read_text()))
+    record("report", ["report", tmp_path / "run_cli20", tmp_path / "run_synth_C101",
+                      "-o", tmp_path / "report.csv"])
+    digests["report.csv"] = _sha((tmp_path / "report.csv").read_bytes().decode())
+    record("plot", ["plot", tmp_path / "solve_defaults.json", "-o", tmp_path / "plot.svg"])
+    digests["plot.svg"] = _sha((tmp_path / "plot.svg").read_text())
+    assert digests == WRITTEN_DIGESTS

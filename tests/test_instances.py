@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from coarsevrp.evaluation import Metrics
 from coarsevrp.graph import Graph, recompute_schedule
 from coarsevrp.heuristics import Solution
-from coarsevrp.instances import (DocumentError, InstanceError,
-                                 build_solution_document, parse_solomon,
+from coarsevrp.instances import (METRIC_NAMES, PARAM_NAMES, TIMING_NAMES, DocumentError,
+                                 InstanceError, build_solution_document, parse_solomon,
                                  read_solution, write_solomon, write_solution)
+from coarsevrp.tuning import TrialResult
 
 import gen
 
@@ -165,6 +167,13 @@ def test_document_validation(tmp_path):
     p.write_text(json.dumps({"instance": "x"}))
     with pytest.raises(DocumentError, match="missing"):
         read_solution(p)
+
+
+def test_field_lists_name_the_record_fields():
+    # instances cannot import evaluation (evaluation -> graph -> instances),
+    # so the metric list is tied to Metrics here
+    assert METRIC_NAMES == tuple(f.name for f in fields(Metrics))
+    assert set(PARAM_NAMES + TIMING_NAMES) <= {f.name for f in fields(TrialResult)}
 
 
 @settings(max_examples=200, deadline=None)
