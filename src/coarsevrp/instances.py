@@ -70,12 +70,15 @@ def parse_solomon(text: str) -> Instance:
     lines = text.splitlines()
     stripped = [ln.strip() for ln in lines]
 
-    title = next((ln for ln in stripped if ln), None)
-    if title is None:
+    ti = next((i for i, ln in enumerate(stripped) if ln), None)
+    if ti is None:
         raise InstanceError("empty instance file")
+    title = stripped[ti]
 
+    # sections are looked for below the title, which may itself read
+    # VEHICLE or CUSTOMER
     try:
-        vi = stripped.index("VEHICLE")
+        vi = stripped.index("VEHICLE", ti + 1)
     except ValueError:
         raise InstanceError("missing VEHICLE section") from None
     fleet = None
@@ -93,7 +96,7 @@ def parse_solomon(text: str) -> Instance:
     vehicle_count, capacity = fleet
 
     try:
-        ci = stripped.index("CUSTOMER")
+        ci = stripped.index("CUSTOMER", vi + 1)
     except ValueError:
         raise InstanceError("missing CUSTOMER section") from None
     rows = []

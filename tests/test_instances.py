@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +105,12 @@ def test_parse_rejects_non_integer_vehicle_count():
     with pytest.raises(InstanceError, match="vehicle count 2.5"):
         parse_solomon(SOLOMON_TOY.replace("  25         200", "  2.5        200"))
     assert parse_solomon(SOLOMON_TOY.replace("  25         200", "  2.0        200")).vehicle_count == 2
+
+
+def test_title_may_read_as_a_section_name():
+    for title in ("VEHICLE", "CUSTOMER"):
+        inst = replace(gen.random_instance(3, 5), name=title)
+        assert parse_solomon(write_solomon(inst)) == inst
 
 
 def test_echo_round_trip():
