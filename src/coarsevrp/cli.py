@@ -101,15 +101,12 @@ def _space_from(args) -> SearchSpace:
 
 def cmd_tune(args) -> int:
     instance = load_instance(args.instance)
-    space = _space_from(args)
-    for solver in space.solvers:
-        if solver not in SOLVERS:
-            raise DocumentError(f"unknown solver in search space: {solver!r}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    space = _space_from(args)              # a bad search space exits before any trial
     best, trials = random_search(instance, space, args.trials, args.seed,
                                  propagation=args.propagation, jobs=args.jobs)
     baselines = [run_baseline(instance, s) for s in SOLVERS]
+    out_dir = Path(args.out_dir)           # made only once the campaign has run
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trials_csv(out_dir / "trials.csv",
                      [trial_row(t, instance.name, args.seed) for t in trials])
     write_trials_csv(out_dir / "baselines.csv",

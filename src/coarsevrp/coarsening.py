@@ -28,6 +28,8 @@ class CoarseningParams:
     tau_mode: str = "midpoint"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.radius_coeff))):
+            raise ValueError("alpha, beta and radius_coeff must be finite")
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
             raise ValueError("alpha/beta must be non-negative and not both zero")
         if not 0 < self.p_target <= 1:

@@ -18,14 +18,9 @@ class Metrics:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class PenaltyWeights:
-    lambda_vehicles: float = 1000.0
-    lambda_capacity: float = 1000.0
-    lambda_time: float = 1000.0
-
-
-DEFAULT_WEIGHTS = PenaltyWeights()
+LAMBDA_VEHICLES = 1000.0       # cost per vehicle used
+LAMBDA_CAPACITY = 1000.0       # flat penalty once any route is over capacity
+LAMBDA_TIME = 1000.0           # flat penalty once any stop is late
 
 
 def evaluate(solution: Solution, graph: Graph, capacity: float) -> Metrics:
@@ -62,13 +57,13 @@ def aggregate_metrics(routes) -> Metrics:
                    feasible=(late == 0 and over == 0))
 
 
-def objective_score(metrics: Metrics, weights: PenaltyWeights = DEFAULT_WEIGHTS) -> float:
+def objective_score(metrics: Metrics) -> float:
     """Distance plus a per-vehicle cost plus flat penalties.
 
     Capacity and time-window penalties are flags, not counts: one violation
     costs the same as ten. An empty solution scores 0.
     """
     return (metrics.total_distance
-            + weights.lambda_vehicles * metrics.num_vehicles
-            + weights.lambda_capacity * (1 if metrics.capacity_violations > 0 else 0)
-            + weights.lambda_time * (1 if metrics.tw_violations > 0 else 0))
+            + LAMBDA_VEHICLES * metrics.num_vehicles
+            + LAMBDA_CAPACITY * (1 if metrics.capacity_violations > 0 else 0)
+            + LAMBDA_TIME * (1 if metrics.tw_violations > 0 else 0))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .instances import Instance
 
@@ -24,10 +25,6 @@ class CoarseNode:
     nominal_t: float
     members: tuple[int, ...]
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.ready, self.due)
-
 
 def travel_time(a, b) -> float:
     """Euclidean travel time between two point-like objects (unit speed)."""
@@ -45,17 +42,20 @@ def nominal_visit_time(node) -> float:
 class Graph:
     """Depot plus customer/super nodes with symmetric travel times.
 
+    One node table holds every node by id: the depot is its first entry,
+    under DEPOT_ID, and the customers and super-nodes follow.
+
     A travel time is the distance between the two nodes' positions unless the
     pair has a stored entry, which only conservative contraction writes: a
     conservative super-node's time is the worst case over its children.
     """
 
-    def __init__(self, depot: CoarseNode, nodes: dict[int, CoarseNode],
+    def __init__(self, nodes: dict[int, CoarseNode],
                  tau: dict[tuple[int, int], float], name: str = "graph"):
-        if depot.id != DEPOT_ID:
-            raise ValueError("depot id must be 0")
-        self.depot = depot
-        self._nodes = dict(nodes)
+        if next(iter(nodes), None) != DEPOT_ID:
+            raise ValueError("the first node must be the depot, id 0")
+        self.depot = nodes[DEPOT_ID]
+        self._nodes = nodes
         self._tau = tau
         self.name = name
 
@@ -63,29 +63,26 @@ class Graph:
     def from_instance(cls, instance: Instance) -> "Graph":
         """One node per depot and customer; O(n), as no travel time is stored."""
         d = instance.depot
-        depot = CoarseNode(d.id, "depot", d.x, d.y, 0.0, 0.0, d.ready, d.due,
-                           nominal_visit_time(d), (d.id,))
-        nodes = {}
+        nodes = {d.id: CoarseNode(d.id, "depot", d.x, d.y, 0.0, 0.0, d.ready, d.due,
+                                  nominal_visit_time(d), (d.id,))}
         for c in instance.customers:
             nodes[c.id] = CoarseNode(c.id, "customer", c.x, c.y, c.demand, c.service,
                                      c.ready, c.due, nominal_visit_time(c), (c.id,))
-        return cls(depot, nodes, {}, name=instance.name)
+        return cls(nodes, {}, name=instance.name)
 
     def node(self, nid: int) -> CoarseNode:
-        if nid == DEPOT_ID:
-            return self.depot
         return self._nodes[nid]
 
     @property
     def customers(self) -> tuple[CoarseNode, ...]:
-        return tuple(self._nodes.values())
+        return tuple(islice(self._nodes.values(), 1, None))
 
     def customer_ids(self) -> list[int]:
-        return sorted(self._nodes)
+        return sorted(islice(self._nodes, 1, None))
 
     @property
     def customer_count(self) -> int:
-        return len(self._nodes)
+        return len(self._nodes) - 1
 
     @property
     def stores_taus(self) -> bool:
@@ -98,8 +95,7 @@ class Graph:
             t = self._tau.get((a, b) if a < b else (b, a))
             if t is not None:
                 return t
-        p = self._nodes[a] if a != DEPOT_ID else self.depot
-        q = self._nodes[b] if b != DEPOT_ID else self.depot
+        p, q = self._nodes[a], self._nodes[b]
         return math.hypot(p.x - q.x, p.y - q.y)
 
     def taus(self, a: int, bs) -> list[float]:
@@ -107,12 +103,11 @@ class Graph:
         [self.tau(a, b) for b in bs]: the distances between the positions,
         computed in one pass, with the graph's stored entries laid over them.
         """
-        nodes, depot = self._nodes, self.depot
-        p = nodes[a] if a != DEPOT_ID else depot
+        nodes = self._nodes
+        p = nodes[a]
         ax, ay = p.x, p.y
         hypot = math.hypot
-        out = [hypot(ax - q.x, ay - q.y)
-               for q in [nodes[b] if b != DEPOT_ID else depot for b in bs]]
+        out = [hypot(ax - q.x, ay - q.y) for q in map(nodes.__getitem__, bs)]
         if self._tau:
             get = self._tau.get
             for k, b in enumerate(bs):
@@ -143,15 +138,16 @@ class Graph:
         """
         if tau_mode not in TAU_MODES:
             raise ValueError(f"unknown tau mode: {tau_mode!r}")
-        # id order; each new super-node has the largest id, so it stays sorted
+        # id order, the depot first; each new super-node has the largest id,
+        # so it stays sorted
         nodes = {nid: self._nodes[nid] for nid in sorted(self._nodes)}
-        top = max(self._nodes, default=self.depot.id)
+        top = max(self._nodes)
         supers = []
         for i, j, order, window in merges:
             if set(order) != {i, j} or i == j:
                 raise ValueError("order must permute the merged pair")
             for nid in (i, j):
-                if nid not in self._nodes:
+                if nid == DEPOT_ID or nid not in self._nodes:
                     raise ValueError(f"node {nid} is not a customer of this graph")
                 if nid not in nodes:
                     raise ValueError(f"node {nid} is merged twice in one round")
@@ -177,7 +173,7 @@ class Graph:
         if tau_mode == "conservative":
             # (final node id, the nodes of this graph it covers); keys are (other, sid)
             # because a super-node's id exceeds every id before it
-            finals = [(nid, (nid,)) for nid in (self.depot.id, *nodes)]
+            finals = [(nid, (nid,)) for nid in nodes]
             for super_node, children in supers:
                 sid = super_node.id
                 for other, others in finals:
@@ -185,17 +181,17 @@ class Graph:
                                              for c in children for o in others])
                 finals.append((sid, children))
         nodes.update((s.id, s) for s, _ in supers)
-        return Graph(self.depot, nodes, tau, name=self.name), [s for s, _ in supers]
+        return Graph(nodes, tau, name=self.name), [s for s, _ in supers]
 
     def extent(self) -> float:
         """Largest bounding-box dimension over every node, depot included."""
-        xs = [self.depot.x] + [n.x for n in self._nodes.values()]
-        ys = [self.depot.y] + [n.y for n in self._nodes.values()]
+        xs = [n.x for n in self._nodes.values()]
+        ys = [n.y for n in self._nodes.values()]
         return max(max(xs) - min(xs), max(ys) - min(ys))
 
     def member_ids(self) -> list[int]:
         out = []
-        for n in self._nodes.values():
+        for n in self.customers:
             out.extend(n.members)
         return sorted(out)
 

@@ -62,8 +62,10 @@ def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solu
 
 
 def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> list[Route]:
-    """Cheap repairs, applied until nothing changes; returns the routes, each
-    scheduled with the capacity. The stop lists are edited in place.
+    """Cheap repairs, applied to each route until nothing changes; returns
+    the routes, each scheduled with the capacity, followed by the singleton
+    routes split off them in the order they were split. Each stop list is
+    edited in place.
 
     (a) adjacent swap: exchanging a late stop with its predecessor is kept
         when it strictly lowers the route's violation count and leaves both
@@ -71,11 +73,10 @@ def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> 
     (b) capacity split: a route over capacity repeatedly moves its last
         customer into a fresh singleton route.
 
-    A pass makes at most one swap in each route it visits and then splits
-    it. What a pass does to a route depends on nothing but the route's own
-    stops, so a route that a whole pass left alone is settled: each pass
-    after the first visits only the routes the last pass changed and the
-    singleton routes it split off.
+    A route's repair depends on nothing but its own stops, so each route is
+    repaired on its own: at most one swap, then the split, repeated until
+    neither changes it. A split-off singleton has no pair to swap and
+    nothing to split.
 
     Each route is scheduled once, and again only when a swap or a split
     changes it. A swap leaves the schedule in front of it as it is, so its
@@ -83,14 +84,12 @@ def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> 
     departure there (Savelsbergh 1992); a split keeps a prefix of the stops,
     and its load is a prefix sum of their demands.
     """
-    routes = {}           # each route's schedule, kept while its stops stay as they are
-    visit = range(len(stop_lists))
-    while visit:
-        changed = set()
-        new_routes = []
-        for k in visit:
-            stops = stop_lists[k]
-            route = routes[k] if k in routes else recompute_schedule(stops, graph, capacity)
+    routes, singletons = [], []
+    for stops in stop_lists:
+        route = recompute_schedule(stops, graph, capacity)
+        changed = True
+        while changed:
+            changed = False
             late = route.late_stops
             for pos in late:
                 if pos < 2 or pos >= len(stops) - 1:
@@ -105,7 +104,7 @@ def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> 
                 if rest_late < sum(q >= pos - 1 for q in late):
                     stops[pos - 1], stops[pos] = stops[pos], stops[pos - 1]
                     route = recompute_schedule(stops, graph, capacity)
-                    changed.add(k)
+                    changed = True
                     break
             customers = len(route.customer_stops)
             if route.over_capacity and customers > 1:
@@ -115,11 +114,9 @@ def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> 
                 while loads[len(stops) - 2] > capacity and customers > 1:
                     last = stops.pop(-2)
                     customers -= last != DEPOT_ID
-                    new_routes.append([DEPOT_ID, last, DEPOT_ID])
+                    singletons.append(recompute_schedule([DEPOT_ID, last, DEPOT_ID],
+                                                         graph, capacity))
                 route = recompute_schedule(stops, graph, capacity)
-                changed.add(k)
-            routes[k] = route
-        first_new = len(stop_lists)
-        stop_lists.extend(new_routes)
-        visit = sorted(changed) + list(range(first_new, len(stop_lists)))
-    return [routes[k] for k in range(len(stop_lists))]
+                changed = True
+        routes.append(route)
+    return routes + singletons

@@ -36,16 +36,6 @@ class Instance:
     depot: Customer
     customers: tuple[Customer, ...]
 
-    @property
-    def horizon(self) -> float:
-        return self.depot.due
-
-    def customer(self, cid: int) -> Customer:
-        c = self.customers[cid - 1]
-        if c.id != cid:
-            raise KeyError(cid)
-        return c
-
 
 def _numbers(line: str) -> list[float]:
     out = []

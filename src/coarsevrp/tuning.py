@@ -12,6 +12,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 from .coarsening import CoarseningParams, coarsen
 from .evaluation import Metrics, aggregate_metrics, objective_score
@@ -30,6 +31,18 @@ class SearchSpace:
     ps: tuple[float, ...] = (0.3, 0.5, 0.7)
     radius_coeffs: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
     solvers: tuple[str, ...] = ("greedy", "savings")
+
+    def __post_init__(self):
+        # every draw must give valid CoarseningParams, whichever values meet
+        for alpha, beta in product(self.alphas, self.betas):
+            CoarseningParams(alpha=alpha, beta=beta)
+        for p in self.ps:
+            CoarseningParams(p_target=p)
+        for radius_coeff in self.radius_coeffs:
+            CoarseningParams(radius_coeff=radius_coeff)
+        for solver in self.solvers:
+            if solver not in SOLVERS:
+                raise ValueError(f"unknown solver in search space: {solver!r}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +202,8 @@ def random_search(instance: Instance, space: SearchSpace, n_trials: int, seed: i
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_trial, [instance] * n_trials,

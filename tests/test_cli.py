@@ -103,6 +103,29 @@ def test_short_customer_row_is_validation_error(tmp_path, instance_file, capsys,
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("flags", [["--alpha", "nan"], ["--beta", "nan"],
+                                   ["--radius", "nan"], ["--alpha", "inf"],
+                                   ["--radius", "inf"]])
+def test_solve_rejects_non_finite_weights(tmp_path, instance_file, capsys, flags):
+    rc = main(["solve", str(instance_file), *flags, "-o", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "0"], ["--jobs", "0"], ["--jobs", "-3"],
+    ["--alphas=-1,0.5", "--trials", "3"], ["--ps", "0.5,7", "--trials", "1"],
+    ["--alphas", "nan"], ["--betas", "0.5,nan"], ["--radius-coeffs", "1,inf"],
+    ["--alphas", "0,0.5", "--betas", "0,0.5"],       # a draw may pair 0 with 0
+    ["--solvers", "greedy,exact"]])
+def test_tune_rejects_bad_input_before_any_trial(tmp_path, instance_file, capsys, flags):
+    rc = main(["tune", str(instance_file), *flags, "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_warns_on_stderr_when_coarsening_stalls(tmp_path, instance_file, capsys):
     # radius 0 proposes no merge, so the first round stalls at 20 of 20 nodes
     out = tmp_path / "sol.json"

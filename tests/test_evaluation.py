@@ -1,7 +1,6 @@
 import random
 
-from coarsevrp.evaluation import (DEFAULT_WEIGHTS, Metrics, PenaltyWeights,
-                                  evaluate, objective_score)
+from coarsevrp.evaluation import Metrics, evaluate, objective_score
 from coarsevrp.graph import Graph, recompute_schedule
 from coarsevrp.heuristics import Solution, greedy_solve
 from coarsevrp.instances import Customer, Instance
@@ -40,13 +39,6 @@ def test_objective_penalties_are_flags_not_counts():
     assert objective_score(one) == objective_score(many) == 1000.0
     both = Metrics(0.0, 0, 0.0, 2, 3, False)
     assert objective_score(both) == 2000.0
-
-
-def test_objective_custom_weights():
-    m = Metrics(50.0, 2, 0.0, 1, 1, False)
-    w = PenaltyWeights(lambda_vehicles=10.0, lambda_capacity=5.0, lambda_time=2.0)
-    assert abs(objective_score(m, w) - (50 + 20 + 5 + 2)) < TOL
-    assert DEFAULT_WEIGHTS.lambda_vehicles == 1000.0
 
 
 def test_evaluate_ignores_stale_schedules():

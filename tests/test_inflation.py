@@ -150,6 +150,17 @@ def test_postprocess_splits_over_capacity_route():
     assert m.capacity_violations == 0
 
 
+def test_postprocess_swaps_once_a_split_allows_it():
+    # swapping 1 and 2 makes 3 late, so the swap is refused until the
+    # capacity split has moved 3 to a route of its own
+    inst = make_instance([(10, 0, 40, 0, 100, 10), (20, 0, 40, 0, 25, 0),
+                          (20, 0, 40, 0, 45, 0)])
+    g = Graph.from_instance(inst)
+    out = light_postprocess(_solution([[0, 1, 2, 3, 0]], g), g, inst.capacity)
+    assert [r.stops for r in out.routes] == [[0, 2, 1, 0], [0, 3, 0]]
+    assert evaluate(out, g, inst.capacity).tw_violations == 0
+
+
 def test_postprocess_idempotent():
     for seed in range(5):
         inst = gen.random_instance(900 + seed, 20, width_range=(10, 40))

@@ -37,9 +37,10 @@ def test_parse_basic_fields():
     assert inst.capacity == 200
     assert inst.depot.id == 0 and inst.depot.x == 40
     assert len(inst.customers) == 2
-    c1 = inst.customer(1)
-    assert (c1.x, c1.y, c1.demand, c1.ready, c1.due, c1.service) == (45, 68, 10, 912, 967, 90)
-    assert inst.horizon == 1236
+    c1 = inst.customers[0]
+    assert (c1.id, c1.x, c1.y, c1.demand, c1.ready, c1.due, c1.service) == \
+        (1, 45, 68, 10, 912, 967, 90)
+    assert inst.depot.due == 1236
 
 
 def test_parse_rejects_missing_sections():
