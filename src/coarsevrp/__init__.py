@@ -6,7 +6,7 @@ on the small graph, inflate the routes back onto the original graph, repair,
 and score.
 """
 
-from .coarsening import CoarseningParams, MergeHistory, MergeRecord, coarsen
+from .coarsening import CoarseningParams, MergeRecord, coarsen
 from .evaluation import Metrics, evaluate, objective_score
 from .graph import CoarseNode, Graph, Route, recompute_schedule, travel_time
 from .heuristics import Solution, brute_force_optimal, greedy_solve, savings_solve
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoarseNode", "CoarseningParams", "Customer", "Graph", "Instance",
-    "MergeHistory", "MergeRecord", "Metrics", "Route",
+    "MergeRecord", "Metrics", "Route",
     "SearchSpace", "Solution", "TrialResult", "brute_force_optimal", "coarsen",
     "evaluate", "greedy_solve", "inflate", "light_postprocess", "load_instance",
     "objective_score", "parse_solomon", "random_search", "recompute_schedule",

@@ -152,6 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_instance(p):
         p.add_argument("instance", help="Solomon-format instance file")
 
+    def add_propagation(p):
+        p.add_argument("--propagation", choices=PROPAGATION_MODES, default="relaxed",
+                       help="relaxed widens merged time windows; conservative tightens "
+                            "them and uses worst-case travel times, so a coarse route with "
+                            "no late stop expands to one with none (default: relaxed)")
+
     p = sub.add_parser("solve", help="coarsen, solve, inflate one instance")
     add_instance(p)
     p.add_argument("--alpha", type=float, default=0.5)
@@ -159,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
-    p.add_argument("--propagation", choices=PROPAGATION_MODES, default="relaxed")
+    add_propagation(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
     p.set_defaults(fn=cmd_solve)
@@ -176,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--propagation", choices=PROPAGATION_MODES, default="relaxed")
+    add_propagation(p)
     p.add_argument("--config", help="JSON file with the search space")
     p.add_argument("--alphas", help="comma-separated override")
     p.add_argument("--betas", help="comma-separated override")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import TAU_MODES, CoarseNode, Graph
+from .graph import CoarseNode, Graph
 
 PROPAGATION_MODES = ("relaxed", "conservative")
 
@@ -24,8 +24,7 @@ class CoarseningParams:
     beta: float = 0.5             # weight on temporal separation
     p_target: float = 0.5         # stop once customer count <= p_target * original
     radius_coeff: float = 1.0     # multiplier on the extent-based merge radius
-    propagation: str = "relaxed"
-    tau_mode: str = "midpoint"
+    propagation: str = "relaxed"  # "conservative" also makes travel times worst-case
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.alpha, self.beta, self.radius_coeff))):
@@ -38,8 +37,6 @@ class CoarseningParams:
             raise ValueError("radius_coeff must be >= 0")
         if self.propagation not in PROPAGATION_MODES:
             raise ValueError(f"propagation must be one of {PROPAGATION_MODES}")
-        if self.tau_mode not in TAU_MODES:
-            raise ValueError(f"tau_mode must be one of {TAU_MODES}")
 
 
 @dataclass(frozen=True)
@@ -49,17 +46,6 @@ class MergeRecord:
     right: int
     order: tuple[int, int]        # service order of the two children
     window: tuple[float, float]   # aggregated [ready, due] given to the super
-
-
-@dataclass
-class MergeHistory:
-    records: list[MergeRecord] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +135,6 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # ---------------------------------------------------------------------------
 # merging
 
-def merge_pair(graph: Graph, i: int, j: int, order: tuple[int, int],
-               window: tuple[float, float], tau_mode: str = "midpoint"):
-    """Replace customers i and j with one super-node; returns (graph, super).
-
-    A one-merge `Graph.contract`, which documents the super-node's attributes.
-    """
-    graph, (super_node,) = graph.contract([(i, j, order, window)], tau_mode)
-    return graph, super_node
-
-
 # Why the sweep in `candidate_pairs` drops no candidate. A candidate has
 # alpha*tau <= rho and beta*|dt| <= rho (both terms of its weight are >= 0),
 # and tau >= the distance between the two positions: midpoint tau is that
@@ -235,13 +211,18 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     rho/alpha in space or rho/beta in time there are weighed: a round costs
     O(n log n + pairs in the window), plus Graph.contract's conservative
     entries.
+
+    propagation="relaxed" widens merged windows and measures travel from
+    midpoints; "conservative" tightens them and contracts with worst-case
+    travel times, so a coarse route with no late stop expands to one with none.
+
     Stops at the target size or as soon as a round produces no merge.
-    Returns (coarse_graph, history); `trace`, when given, collects one
-    summary dict per round, and the last one gets "stop": "target" or
-    "stalled".
+    Returns (coarse_graph, history), history being the MergeRecords oldest
+    first; `trace`, when given, collects one summary dict per round, and the
+    last one gets "stop": "target" or "stalled".
     """
     n0 = graph.customer_count
-    history = MergeHistory()
+    history: list[MergeRecord] = []
     rounds = 0
     while graph.customer_count > params.p_target * n0:
         rounds += 1
@@ -267,9 +248,9 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
                           "merges_applied": len(merges), "rho": rho})
         if not merges:
             break
-        graph, supers = graph.contract(merges, params.tau_mode)
-        history.records.extend(MergeRecord(sup.id, i, j, order, window)
-                               for sup, (i, j, order, window) in zip(supers, merges))
+        graph, supers = graph.contract(merges, params.propagation == "conservative")
+        history.extend(MergeRecord(sup.id, i, j, order, window)
+                       for sup, (i, j, order, window) in zip(supers, merges))
     if trace is not None and rounds:
         stalled = graph.customer_count > params.p_target * n0
         trace[-1]["stop"] = "stalled" if stalled else "target"

@@ -9,7 +9,6 @@ from itertools import islice
 from .instances import Instance
 
 DEPOT_ID = 0
-TAU_MODES = ("midpoint", "conservative")
 
 
 @dataclass(frozen=True)
@@ -116,28 +115,26 @@ class Graph:
                     out[k] = t
         return out
 
-    def contract(self, merges, tau_mode: str = "midpoint"):
+    def contract(self, merges, conservative: bool = False):
         """Apply one round of disjoint (i, j, order, window) merges in list
         order; returns (graph, supers).
 
         Each merge names two customers of this graph that no earlier merge of
         the call named. Each super-node takes the next free id, sits at its
         children's midpoint, sums their demand and gets the given window.
-        With tau_mode="midpoint" its service time is the children's sum and
-        travel times are measured from the midpoint. With "conservative" the
-        internal leg joins the service time (s_first + tau_ij + s_second) and
-        travel to any other node is the worst case over the children, so a
-        coarse schedule never promises more than the expanded route delivers.
+        By default its service time is the children's sum and travel times
+        are measured from the midpoint. With conservative=True the internal
+        leg joins the service time (s_first + tau_ij + s_second) and travel
+        to any other node is the worst case over the children, so a coarse
+        schedule never promises more than the expanded route delivers.
 
         Midpoint travel times follow from the positions, so nothing is
         stored for them. The parent's stored entries between surviving nodes
-        are kept, and in conservative mode each super-node gets one entry per
-        node of the final graph (depot, survivors and the round's earlier
-        supers). A call costs O(nodes) in midpoint mode, plus
-        O(stored entries + merges × final nodes) in conservative mode.
+        are kept, and a conservative contraction gives each super-node one
+        entry per node of the final graph (depot, survivors and the round's
+        earlier supers). A call costs O(nodes), plus O(stored entries +
+        merges × final nodes) when conservative.
         """
-        if tau_mode not in TAU_MODES:
-            raise ValueError(f"unknown tau mode: {tau_mode!r}")
         # id order, the depot first; each new super-node has the largest id,
         # so it stays sorted
         nodes = {nid: self._nodes[nid] for nid in sorted(self._nodes)}
@@ -153,10 +150,10 @@ class Graph:
                     raise ValueError(f"node {nid} is merged twice in one round")
             a, b = nodes.pop(order[0]), nodes.pop(order[1])
             ready, due = window
-            if tau_mode == "midpoint":
-                service = a.service + b.service
-            else:
+            if conservative:
                 service = a.service + self.tau(i, j) + b.service
+            else:
+                service = a.service + b.service
             top += 1
             super_node = CoarseNode(
                 id=top, kind="supernode",
@@ -170,7 +167,7 @@ class Graph:
         # stored entries between surviving nodes, reusing the parent's key tuples
         tau = {key: t for key, t in self._tau.items()
                if key[0] not in merged and key[1] not in merged}
-        if tau_mode == "conservative":
+        if conservative:
             # (final node id, the nodes of this graph it covers); keys are (other, sid)
             # because a super-node's id exceeds every id before it
             finals = [(nid, (nid,)) for nid in nodes]

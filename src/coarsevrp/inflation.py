@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .coarsening import MergeHistory
+from .coarsening import MergeRecord
 from .graph import DEPOT_ID, Graph, Route, recompute_schedule, walk_schedule
 from .heuristics import Solution
 
@@ -13,7 +13,7 @@ class InflationError(ValueError):
     """A route references a super-node the merge history cannot expand."""
 
 
-def expansion_map(history: MergeHistory) -> dict[int, list[int]]:
+def expansion_map(history: list[MergeRecord]) -> dict[int, list[int]]:
     """{super_id: its original customers in recorded service order}."""
     expand = {}
     for rec in history:   # oldest first: a nested child is already expanded
@@ -21,7 +21,7 @@ def expansion_map(history: MergeHistory) -> dict[int, list[int]]:
     return expand
 
 
-def expand_stops(solution: Solution, history: MergeHistory,
+def expand_stops(solution: Solution, history: list[MergeRecord],
                  original: Graph) -> list[list[int]]:
     """Each route's stop list with every super-node replaced in place by its
     original customers (see expansion_map); nothing is scheduled.
@@ -40,7 +40,7 @@ def expand_stops(solution: Solution, history: MergeHistory,
     return stop_lists
 
 
-def inflate(solution: Solution, history: MergeHistory, original: Graph) -> Solution:
+def inflate(solution: Solution, history: list[MergeRecord], original: Graph) -> Solution:
     """expand_stops, then schedule each route once on the original graph's
     travel times.
 

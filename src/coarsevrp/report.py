@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 from .instances import DocumentError, read_trials_csv
@@ -26,6 +27,7 @@ _COMPARED = (("distance", "total_distance", float), ("duration", "total_duration
              ("vehicles", "num_vehicles", int))
 _BASELINE_COLUMNS = ("solver", "tw_violations", *(column for _, column, _ in _COMPARED))
 _TRIAL_COLUMNS = ("instance", "trial", "score", *_BASELINE_COLUMNS)
+_TEXT_COLUMNS = ("instance", "solver")    # every other column read is a number
 
 # (field, text header): the report's columns in order, for the table and the CSV
 REPORT_COLUMNS = [
@@ -71,6 +73,11 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[dict]]:
             raise DocumentError(f"{run_dir / name}: missing columns {', '.join(missing)}")
         if any(None in row.values() for row in rows):
             raise DocumentError(f"{run_dir / name}: a row has fewer cells than the header")
+        for row in rows:
+            for column in columns:
+                if column not in _TEXT_COLUMNS and not math.isfinite(float(row[column])):
+                    raise DocumentError(f"{run_dir / name}: {column} is not a finite "
+                                        f"number: {row[column]!r}")
     return trials, baselines
 
 

@@ -33,6 +33,9 @@ class SearchSpace:
     solvers: tuple[str, ...] = ("greedy", "savings")
 
     def __post_init__(self):
+        for name, values in vars(self).items():
+            if not values:
+                raise ValueError(f"search space field {name} is empty")
         # every draw must give valid CoarseningParams, whichever values meet
         for alpha, beta in product(self.alphas, self.betas):
             CoarseningParams(alpha=alpha, beta=beta)

@@ -15,8 +15,8 @@ import statistics
 import time
 
 from coarsevrp.coarsening import (CoarseningParams, aggregate_window, coarsen,
-                                  merge_feasibility, merge_pair, merge_slack,
-                                  st_distance, temporal_separation)
+                                  merge_feasibility, merge_slack, st_distance,
+                                  temporal_separation)
 from coarsevrp.cli import main
 from coarsevrp.evaluation import Metrics, evaluate, objective_score
 from coarsevrp.graph import CoarseNode, Graph
@@ -176,7 +176,7 @@ def test_2_every_customer_served_exactly_once(request):
 def test_3_costs_never_beat_exhaustive_optimum(request):
     t0 = time.perf_counter()
     params = CoarseningParams(alpha=0.5, beta=0.5, p_target=0.5, radius_coeff=1.5,
-                              propagation="conservative", tau_mode="conservative")
+                              propagation="conservative")
     rng = random.Random(3000)
     problems = []
     for i in range(50):
@@ -206,12 +206,12 @@ def test_3_costs_never_beat_exhaustive_optimum(request):
 
 
 # ---------------------------------------------------------------------------
-# 4. conservative modes: clean coarse routes inflate to clean routes
+# 4. conservative mode: clean coarse routes inflate to clean routes
 
 def test_4_conservative_inflation_preserves_feasibility(request):
     t0 = time.perf_counter()
     params = CoarseningParams(alpha=0.5, beta=0.5, p_target=0.4, radius_coeff=2.0,
-                              propagation="conservative", tau_mode="conservative")
+                              propagation="conservative")
     checked, exceptions = 0, []
     for i in range(100):
         n = 10 + (i * 7) % 31
@@ -239,7 +239,7 @@ def test_4_conservative_inflation_preserves_feasibility(request):
 # ---------------------------------------------------------------------------
 # 5. coarsening contract on the 8 benchmark instances
 
-def _replay_levels(graph, history, tau_mode):
+def _replay_levels(graph, history, conservative):
     """Re-apply records one at a time, checking invariants at every level."""
     original_ids = set(graph.customer_ids())
     demand0 = sum(nd.demand for nd in graph.customers)
@@ -249,12 +249,12 @@ def _replay_levels(graph, history, tau_mode):
         fwd, _ = merge_feasibility(graph.node(first), graph.node(second),
                                    graph.tau(first, second))
         assert fwd, f"recorded direction infeasible at its level: {rec}"
-        graph, sup = merge_pair(graph, rec.left, rec.right, rec.order, rec.window,
-                                tau_mode)
+        graph, (sup,) = graph.contract([(rec.left, rec.right, rec.order, rec.window)],
+                                       conservative)
         assert sup.id == rec.super_id
         assert sorted(graph.member_ids()) == sorted(original_ids), "partition broken"
         assert abs(sum(nd.demand for nd in graph.customers) - demand0) < 1e-6
-        if tau_mode == "midpoint":
+        if not conservative:
             assert abs(sum(nd.service for nd in graph.customers) - service0) < 1e-6
     return graph
 
@@ -275,7 +275,7 @@ def test_5_coarsening_contract_on_benchmarks(request):
             if cg.customer_count > bound and not halted:
                 problems.append(f"{name} P={p}: {cg.customer_count} > {bound}, no halt")
             try:
-                replayed = _replay_levels(g, hist, params.tau_mode)
+                replayed = _replay_levels(g, hist, params.propagation == "conservative")
                 if sorted(replayed.customer_ids()) != sorted(cg.customer_ids()):
                     problems.append(f"{name} P={p}: replay mismatch")
             except AssertionError as exc:

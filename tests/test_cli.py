@@ -372,6 +372,26 @@ def test_report_rejects_malformed_trial_csv(tmp_path, capsys, header, cells, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,column,value", [
+    ("trials.csv", "score", "nan"), ("trials.csv", "total_distance", "nan"),
+    ("trials.csv", "trial", "inf"), ("baselines.csv", "total_duration", "-inf"),
+    ("baselines.csv", "tw_violations", "nan")])
+def test_report_rejects_non_finite_numbers(tmp_path, capsys, name, column, value):
+    header = ["instance", "trial", "solver", "score", "total_distance", "num_vehicles",
+              "total_duration", "tw_violations"]
+    run = tmp_path / "run"
+    run.mkdir()
+    for csv_name, trials in (("trials.csv", ("0", "1")), ("baselines.csv", ("-1",))):
+        rows = [dict(zip(header, ["cli20", t, "savings", "1100.0", "100.0", "2", "300.0",
+                                  "0"])) for t in trials]
+        if csv_name == name:
+            rows[-1][column] = value   # a NaN score would otherwise win the report
+        lines = [",".join(header), *(",".join(row.values()) for row in rows)]
+        (run / csv_name).write_text("\n".join(lines) + "\n")
+    assert main(["report", str(run)]) == 2
+    assert f"{column} is not a finite number" in capsys.readouterr().err
+
+
 def test_console_script_entry_point(tmp_path, instance_file):
     out = tmp_path / "s.json"
     # the child imports the same copy of the package as this test
@@ -406,9 +426,9 @@ WRITTEN_DIGESTS = {
     "report.csv":
         "d138b80fee98a86ec9051960a0a3c835e4ebead8f017d2e652c2fc395b3a6ce4",
     "solve_conservative":
-        "cbcdba86d65dd2aad316ffa216ce7248a090500c187e1e211d6e281082285558",
+        "e4ea07ea52d1471c2362579300284fccb6fda382ce2123042b2105ef5a2b6689",
     "solve_conservative stdout":
-        "709d16097cf6cfa2d52e00b64e569e40b07646fe101935fe93548c6f22318eab",
+        "20c5eb2cdc78ed31fc61ea6571293c8f843cd447d76648a5f8dcbfd71715dd12",
     "solve_defaults":
         "6de92bea814ca8d0e4aa894fc14353c9b7500fb968442f1719f2291bd62e2eaa",
     "solve_defaults stdout":

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeRecord,
                                   aggregate_window, candidate_pairs, choose_direction,
-                                  coarsen, merge_feasibility, merge_pair, merge_slack,
+                                  coarsen, merge_feasibility, merge_slack,
                                   radius_threshold, st_distance,
                                   temporal_separation)
-from coarsevrp.graph import TAU_MODES, CoarseNode, Graph, travel_time
+from coarsevrp.graph import CoarseNode, Graph, travel_time
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -185,7 +185,7 @@ def test_radius_threshold_coincident_nodes():
 
 
 # ---------------------------------------------------------------------------
-# merge_pair
+# one merge
 
 def _three_node_graph():
     depot = Customer(0, 5, 5, 0, 0, 1000, 0)
@@ -195,10 +195,10 @@ def _three_node_graph():
     return Graph.from_instance(Instance("tri", 3, 100, depot, cs))
 
 
-def test_merge_pair_midpoint_attributes():
+def test_contract_midpoint_attributes():
     g = _three_node_graph()
     window = aggregate_window(g.node(1), g.node(2), g.tau(1, 2), "relaxed")
-    g2, sup = merge_pair(g, 1, 2, (1, 2), window)
+    g2, (sup,) = g.contract([(1, 2, (1, 2), window)])
     assert (sup.x, sup.y) == (2.0, 0.0)
     assert abs(sup.demand - 30.0) < TOL
     assert abs(sup.service - 12.0) < TOL
@@ -210,10 +210,10 @@ def test_merge_pair_midpoint_attributes():
     assert g2.node(0).id == 0                          # depot untouched
 
 
-def test_merge_pair_conservative_tau_is_worst_case():
+def test_contract_conservative_tau_is_worst_case():
     g = _three_node_graph()
     window = aggregate_window(g.node(1), g.node(2), g.tau(1, 2), "conservative")
-    g2, sup = merge_pair(g, 1, 2, (1, 2), window, tau_mode="conservative")
+    g2, (sup,) = g.contract([(1, 2, (1, 2), window)], conservative=True)
     assert abs(g2.tau(sup.id, 3) - 10.0) < TOL         # max(10, 6)
     for k in (0, 3):
         assert g2.tau(sup.id, k) >= g.tau(1, k) - TOL
@@ -222,15 +222,9 @@ def test_merge_pair_conservative_tau_is_worst_case():
     assert abs(sup.service - (5.0 + 4.0 + 7.0)) < TOL
 
 
-def test_merge_pair_rejects_bad_order():
+def test_contract_order_respected_in_members():
     g = _three_node_graph()
-    with pytest.raises(ValueError):
-        merge_pair(g, 1, 2, (1, 3), (0.0, 10.0))
-
-
-def test_merge_pair_order_respected_in_members():
-    g = _three_node_graph()
-    g2, sup = merge_pair(g, 1, 2, (2, 1), (0.0, 500.0))
+    g2, (sup,) = g.contract([(1, 2, (2, 1), (0.0, 500.0))])
     assert sup.members == (2, 1)
 
 
@@ -299,7 +293,7 @@ def test_coarsen_deterministic():
     params = CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3, radius_coeff=2.0)
     _, h1 = coarsen(g, params)
     _, h2 = coarsen(g, params)
-    assert h1.records == h2.records
+    assert h1 == h2
 
 
 def test_params_validation():
@@ -313,8 +307,6 @@ def test_params_validation():
         CoarseningParams(radius_coeff=-1.0)
     with pytest.raises(ValueError):
         CoarseningParams(propagation="optimistic")
-    with pytest.raises(ValueError):
-        CoarseningParams(tau_mode="exact")
 
 
 def test_weight_order_invariant_under_joint_scaling():
@@ -334,7 +326,7 @@ def test_weight_order_invariant_under_joint_scaling():
 # ---------------------------------------------------------------------------
 # multilevel structure properties (seeded loops)
 
-def _replay(graph, history, tau_mode):
+def _replay(graph, history, conservative):
     """Re-apply the records one by one, checking structure at every level."""
     n_original = graph.customer_count
     original_ids = set(graph.customer_ids())
@@ -345,33 +337,33 @@ def _replay(graph, history, tau_mode):
         ni, nj = graph.node(first), graph.node(second)
         fwd, _ = merge_feasibility(ni, nj, graph.tau(first, second))
         assert fwd, f"recorded direction infeasible at its level: {rec}"
-        graph, sup = merge_pair(graph, rec.left, rec.right, rec.order, rec.window,
-                                tau_mode)
+        graph, (sup,) = graph.contract([(rec.left, rec.right, rec.order, rec.window)],
+                                       conservative)
         assert sup.id == rec.super_id
         members = sorted(graph.member_ids())
         assert members == sorted(original_ids), "member partition broken"
         assert abs(sum(n.demand for n in graph.customers) - demand0) < 1e-6
-        if tau_mode == "midpoint":
+        if not conservative:
             assert abs(sum(n.service for n in graph.customers) - service0) < 1e-6
         assert 0 not in {rec.left, rec.right}, "depot merged"
     return graph
 
 
-@pytest.mark.parametrize("tau_mode,propagation", [("midpoint", "relaxed"),
-                                                  ("conservative", "conservative")])
-def test_coarsen_structure_replay(tau_mode, propagation):
+@pytest.mark.parametrize("propagation", [pytest.param("relaxed", id="midpoint-relaxed"),
+                                         pytest.param("conservative",
+                                                      id="conservative-conservative")])
+def test_coarsen_structure_replay(propagation):
     for seed in range(6):
         inst = gen.random_instance(100 + seed, 30 + 3 * seed, family="clustered")
         g = Graph.from_instance(inst)
         params = CoarseningParams(alpha=0.5, beta=0.5, p_target=0.4,
-                                  radius_coeff=2.0, propagation=propagation,
-                                  tau_mode=tau_mode)
+                                  radius_coeff=2.0, propagation=propagation)
         trace = []
         cg, hist = coarsen(g, params, trace=trace)
         n0 = g.customer_count
         assert (cg.customer_count <= math.ceil(params.p_target * n0)
                 or trace[-1]["merges_applied"] == 0)
-        replayed = _replay(g, hist, tau_mode)
+        replayed = _replay(g, hist, propagation == "conservative")
         assert sorted(replayed.customer_ids()) == sorted(cg.customer_ids())
         for i in replayed.customer_ids():
             a, b = replayed.node(i), cg.node(i)
@@ -387,23 +379,23 @@ def test_coarsen_structure_replay(tau_mode, propagation):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(6, 60),
-       tau_mode=st.sampled_from(TAU_MODES), propagation=st.sampled_from(PROPAGATION_MODES))
-def test_coarse_travel_times_follow_positions_or_members(seed, n, tau_mode, propagation):
+       propagation=st.sampled_from(PROPAGATION_MODES))
+def test_coarse_travel_times_follow_positions_or_members(seed, n, propagation):
     g = Graph.from_instance(gen.random_instance(seed, n, family="mixed", horizon=1000.0))
     assert g._tau == {}
     trace = []
     cg, _ = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.1, radius_coeff=4.0,
-                                        propagation=propagation, tau_mode=tau_mode),
+                                        propagation=propagation),
                     trace=trace)
     # two merging rounds, so the second contracts a graph that holds super-nodes
     assume(sum(r["merges_applied"] > 0 for r in trace) >= 2)
-    if tau_mode == "midpoint":
+    if propagation == "relaxed":
         assert cg._tau == {}
     ids = [0, *cg.customer_ids()]
     for k, a in enumerate(ids):
         for b in ids[k + 1:]:
             na, nb = cg.node(a), cg.node(b)
-            if tau_mode == "midpoint":
+            if propagation == "relaxed":
                 expected = travel_time(na, nb)
             else:
                 expected = max(travel_time(g.node(x), g.node(y))
@@ -448,15 +440,15 @@ def scan_cases(draw):
     graph = _graph_of(points, windows)
     # optionally contract a few pairs first, so super-nodes and worst-case
     # (conservative) travel times are scanned too
-    tau_mode = draw(st.sampled_from(TAU_MODES))
+    conservative = draw(st.booleans())
     ids = draw(st.permutations(graph.customer_ids()))
     k = draw(st.integers(0, n // 2))
     merges = [(i, j, (i, j), (0.0, float(draw(st.integers(0, 900)))))
               for i, j in zip(ids[:k], ids[k:2 * k])]
-    graph, _ = graph.contract(merges, tau_mode)
+    graph, _ = graph.contract(merges, conservative)
     alpha, beta = draw(weights), draw(weights)
     assume(alpha + beta > 0)
-    params = CoarseningParams(alpha=alpha, beta=beta, tau_mode=tau_mode)
+    params = CoarseningParams(alpha=alpha, beta=beta)
     rho = draw(st.one_of(st.floats(0, 150), st.integers(0, 30).map(float)))
     return graph, params, rho
 

@@ -17,58 +17,46 @@ from coarsevrp.tuning import run_pipeline
 
 import gen
 
-MODES = [(tau_mode, propagation)
-         for tau_mode in ("midpoint", "conservative")
-         for propagation in ("relaxed", "conservative")]
+# the two coarsening modes; each id names the travel times, then the windows
+MODES = [pytest.param("relaxed", id="midpoint-relaxed"),
+         pytest.param("conservative", id="conservative-conservative")]
 
 COARSEN_CASES = [(301, 40, "clustered"), (302, 70, "random"), (303, 90, "mixed")]
 
 COARSEN_DIGESTS = {
-    ("midpoint", "relaxed"):
+    "relaxed":
         "0719d09bbe99253af0cd30d2086bfe48b12fd091f12ce475812920c23db843bf",
-    ("midpoint", "conservative"):
-        "fa7bdcf0756b78cd107b2843744a396689b57ecc315e6edd43decf29c28069c7",
-    ("conservative", "relaxed"):
-        "91c4bcf82c9431b452049ffea6fef650a060b4e4cf9d7eb2bda8485520f3e397",
-    ("conservative", "conservative"):
+    "conservative":
         "487ef4a2dba3dd328c30f0759f89fa6eaa1debcd95105fb4247bd93e601d078b",
 }
 
 PIPELINE_DIGESTS = {
-    ("midpoint", "relaxed", "greedy"):
+    ("relaxed", "greedy"):
         "060c148de10a5c6efaa4fe87c61a438d9c7fb70ad6a0a8f68a83417e7c125023",
-    ("midpoint", "relaxed", "savings"):
+    ("relaxed", "savings"):
         "84f58b5c6af1d8f7e74f66528716119c7d80db1edb2d6b1dbb9ac41167bb5bc3",
-    ("midpoint", "conservative", "greedy"):
-        "579d580971eaa4e11f0b2e2ac4a3e11bf24a3758f1687b0660841ecfe737a318",
-    ("midpoint", "conservative", "savings"):
-        "62996c9d98bf3325e2926c04cab3d7db5dec2fb9b711e937d9b3449b91393703",
-    ("conservative", "relaxed", "greedy"):
-        "0d3bfbab9997cfe238f2d4c5592792286be0dc5c06cf1cd975deb8fcdfb311b4",
-    ("conservative", "relaxed", "savings"):
-        "62aace6178aebae68a8c4eba4ff3a9987db04e8e27e5382787ca6433838c8246",
-    ("conservative", "conservative", "greedy"):
+    ("conservative", "greedy"):
         "5d2de84d9173eedf3941bf882c9cc957e5ebe392f6a639b23419951b2d93d5e6",
-    ("conservative", "conservative", "savings"):
+    ("conservative", "savings"):
         "1ff8695d86a0e0a4440d04b1dcd284f2d7557ddd7ad4c1d2843faa2c66511cd5",
 }
 
 
-def _params(tau_mode, propagation):
+def _params(propagation):
     return CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3, radius_coeff=4.0,
-                            propagation=propagation, tau_mode=tau_mode)
+                            propagation=propagation)
 
 
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def coarsen_digest(tau_mode, propagation) -> str:
+def coarsen_digest(propagation) -> str:
     lines = []
     for seed, n, family in COARSEN_CASES:
         g = Graph.from_instance(gen.random_instance(seed, n, family=family))
-        cg, hist = coarsen(g, _params(tau_mode, propagation))
-        lines.append(repr(hist.records))
+        cg, hist = coarsen(g, _params(propagation))
+        lines.append(repr(hist))
         lines.append(repr([cg.depot, *cg.customers]))
         ids = [cg.depot.id, *cg.customer_ids()]
         lines.extend(f"{a} {b} {cg.tau(a, b)!r}" for k, a in enumerate(ids)
@@ -76,24 +64,24 @@ def coarsen_digest(tau_mode, propagation) -> str:
     return _digest(lines)
 
 
-def pipeline_digest(tau_mode, propagation, solver) -> str:
+def pipeline_digest(propagation, solver) -> str:
     lines = []
     for seed, n, family in COARSEN_CASES:
         out = run_pipeline(gen.random_instance(seed, n, family=family),
-                           _params(tau_mode, propagation), solver)
+                           _params(propagation), solver)
         lines.append(repr([r.stops for r in out.solution.routes]))
         lines.append(repr([r.stops for r in out.coarse_solution.routes]))
         lines.append(f"{out.score!r} {out.metrics!r} {out.coarse_metrics!r}")
     return _digest(lines)
 
 
-@pytest.mark.parametrize("tau_mode,propagation", MODES)
-def test_coarse_graph_and_history_golden(tau_mode, propagation):
-    assert coarsen_digest(tau_mode, propagation) == COARSEN_DIGESTS[tau_mode, propagation]
+@pytest.mark.parametrize("propagation", MODES)
+def test_coarse_graph_and_history_golden(propagation):
+    assert coarsen_digest(propagation) == COARSEN_DIGESTS[propagation]
 
 
 @pytest.mark.parametrize("solver", ["greedy", "savings"])
-@pytest.mark.parametrize("tau_mode,propagation", MODES)
-def test_pipeline_golden(tau_mode, propagation, solver):
-    assert (pipeline_digest(tau_mode, propagation, solver)
-            == PIPELINE_DIGESTS[tau_mode, propagation, solver])
+@pytest.mark.parametrize("propagation", MODES)
+def test_pipeline_golden(propagation, solver):
+    assert (pipeline_digest(propagation, solver)
+            == PIPELINE_DIGESTS[propagation, solver])

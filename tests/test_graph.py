@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsevrp.coarsening import merge_pair
-from coarsevrp.graph import (TAU_MODES, CoarseNode, Graph, nominal_visit_time,
-                             recompute_schedule, travel_time)
+from coarsevrp.graph import (CoarseNode, Graph, nominal_visit_time, recompute_schedule,
+                             travel_time)
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -155,8 +154,8 @@ def _same_graph(g, h):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 45),
-       tau_mode=st.sampled_from(TAU_MODES), data=st.data())
-def test_contract_round_equals_merges_one_at_a_time(seed, n, tau_mode, data):
+       conservative=st.booleans(), data=st.data())
+def test_contract_round_equals_merges_one_at_a_time(seed, n, conservative, data):
     g = Graph.from_instance(gen.random_instance(seed, n, family="mixed"))
     for _ in range(2):            # the second round merges super-nodes too
         ids = data.draw(st.permutations(g.customer_ids()))
@@ -165,10 +164,10 @@ def test_contract_round_equals_merges_one_at_a_time(seed, n, tau_mode, data):
         k = data.draw(st.integers(1, len(ids) // 2))
         flips = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
         merges = _random_round(g, ids, flips, k)
-        batched, supers = g.contract(merges, tau_mode)
+        batched, supers = g.contract(merges, conservative)
         one_by_one = g
-        for (i, j, order, window), batched_super in zip(merges, supers):
-            one_by_one, sup = merge_pair(one_by_one, i, j, order, window, tau_mode)
+        for merge, batched_super in zip(merges, supers):
+            one_by_one, (sup,) = one_by_one.contract([merge], conservative)
             assert sup == batched_super
         top = max(g.customer_ids())
         assert [s.id for s in supers] == list(range(top + 1, top + 1 + k))
@@ -207,8 +206,8 @@ def test_taus_equals_tau(inst, data):
     k = len(ids) // 2
     merges = [(i, j, (i, j), (0.0, 1000.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
     cases = [(g, [0, *ids[:1]])]
-    for tau_mode in TAU_MODES:
-        coarse, supers = g.contract(merges, tau_mode)
+    for conservative in (False, True):
+        coarse, supers = g.contract(merges, conservative)
         cases.append((coarse, [0, *(s.id for s in supers)]))
     for graph, sources in cases:
         everyone = [0, *graph.customer_ids()]

@@ -263,8 +263,7 @@ def test_savings_equals_reference(inst, alpha, radius, propagation):
     # super-nodes' travel times
     g = Graph.from_instance(inst)
     coarse, _ = coarsen(g, CoarseningParams(alpha=alpha, beta=1 - alpha, p_target=0.3,
-                                            radius_coeff=radius, propagation=propagation,
-                                            tau_mode="conservative"))
+                                            radius_coeff=radius, propagation=propagation))
     for graph in (g, coarse):
         got = savings_solve(graph, inst.capacity)
         assert got == reference_savings_solve(graph, inst.capacity)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coarsevrp.coarsening import PROPAGATION_MODES, CoarseningParams
 from coarsevrp.evaluation import evaluate
-from coarsevrp.graph import TAU_MODES, Graph
+from coarsevrp.graph import Graph
 from coarsevrp.heuristics import savings_solve
 from coarsevrp.instances import TRIAL_FIELDS, trial_row
 from coarsevrp.tuning import (SOLVERS, SearchSpace, TrialResult, random_search,
@@ -77,11 +77,10 @@ def test_run_pipeline_carries_the_coarsening_trace():
        p=st.sampled_from([0.2, 0.5, 1.0]), radius=st.sampled_from([0.5, 2.0, 6.0]))
 def test_pipeline_serves_every_customer_exactly_once(inst, p, radius):
     ids = [c.id for c in inst.customers]
-    for tau_mode, propagation, solver in product(TAU_MODES, PROPAGATION_MODES, SOLVERS):
-        params = CoarseningParams(p_target=p, radius_coeff=radius,
-                                  propagation=propagation, tau_mode=tau_mode)
+    for propagation, solver in product(PROPAGATION_MODES, SOLVERS):
+        params = CoarseningParams(p_target=p, radius_coeff=radius, propagation=propagation)
         out = run_pipeline(inst, params, solver)
-        assert sorted(out.solution.customer_stops) == ids, (tau_mode, propagation, solver)
+        assert sorted(out.solution.customer_stops) == ids, (propagation, solver)
 
 
 def test_pipeline_with_p_one_equals_baseline():
@@ -98,11 +97,11 @@ def test_pipeline_with_p_one_equals_baseline():
 def test_pipeline_metrics_equal_evaluate_on_the_same_routes(inst, radius):
     # run_pipeline aggregates the routes it scheduled; evaluate recomputes them
     g = Graph.from_instance(inst)
-    for tau_mode, propagation, solver in product(TAU_MODES, PROPAGATION_MODES, SOLVERS):
+    for propagation, solver in product(PROPAGATION_MODES, SOLVERS):
         params = CoarseningParams(alpha=0.9, beta=0.1, p_target=0.2, radius_coeff=radius,
-                                  propagation=propagation, tau_mode=tau_mode)
+                                  propagation=propagation)
         out = run_pipeline(inst, params, solver)
-        case = (tau_mode, propagation, solver)
+        case = (propagation, solver)
         assert out.metrics == evaluate(out.solution, g, inst.capacity), case
         assert out.coarse_metrics == evaluate(out.coarse_solution, out.coarse_graph,
                                               inst.capacity), case
@@ -159,6 +158,13 @@ def test_random_search_parallel_matches_serial():
     strip = lambda t: (t.trial, t.alpha, t.beta, t.p, t.radius_coeff, t.solver,
                        t.metrics, t.score)
     assert [strip(t) for t in serial] == [strip(t) for t in parallel]
+
+
+@pytest.mark.parametrize("field", ["alphas", "betas", "ps", "radius_coeffs", "solvers"])
+def test_search_space_rejects_an_empty_field(field):
+    # an empty field would fail inside the first trial's draw with IndexError
+    with pytest.raises(ValueError, match=field):
+        SearchSpace(**{field: ()})
 
 
 def test_random_search_rejects_zero_trials():
