@@ -222,6 +222,12 @@ def test_contract_conservative_tau_is_worst_case():
     assert abs(sup.service - (5.0 + 4.0 + 7.0)) < TOL
 
 
+def test_merge_pair_rejects_bad_order():
+    g = _three_node_graph()
+    with pytest.raises(ValueError):
+        g.contract([(1, 2, (1, 3), (0.0, 10.0))])
+
+
 def test_contract_order_respected_in_members():
     g = _three_node_graph()
     g2, (sup,) = g.contract([(1, 2, (2, 1), (0.0, 500.0))])
