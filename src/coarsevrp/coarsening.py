@@ -138,10 +138,11 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # Why the sweep in `candidate_pairs` drops no candidate. A candidate has
 # alpha*tau <= rho and beta*|dt| <= rho (both terms of its weight are >= 0),
 # and tau >= the distance between the two positions: midpoint tau is that
-# distance, and conservative tau is a max over the children, which by
-# convexity is at least the distance to their midpoint. So the two x, the
-# two y and the two nominal times differ by at most one window, rho/alpha in
-# space and rho/beta in time, on whichever axis the rows are sorted. The
+# distance, and conservative tau is a max over member pairs, which by
+# convexity is >= the distance between the two positions, as each position is
+# a weighted mean of its members' positions. So the two x, the two y and the
+# two nominal times differ by at most one window, rho/alpha in space and
+# rho/beta in time, on whichever axis the rows are sorted. The
 # float rounding in those bounds is a few ulps relative, and rounding
 # key + window is monotone, so widening the window by _WINDOW_MARGIN, far
 # more than those ulps, keeps every candidate.
@@ -159,10 +160,10 @@ def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
     is weighed against the rows after it that lie within one window; the
     pruning is exact (see _WINDOW_MARGIN). A round costs O(n log n + pairs
     in the window). A pair is weighed from the two positions. That weight is
-    exact unless the graph stores travel times (Graph.stores_taus), and then
-    it is a lower bound, so only then are the pairs it keeps weighed again
-    with Graph.tau. Returns (candidates, pairs_scanned), the latter counting
-    the pairs weighed from positions.
+    exact unless the graph is conservative (Graph.conservative), and then it
+    is a lower bound, so only then are the pairs it keeps weighed again with
+    Graph.tau. Returns (candidates, pairs_scanned), the latter counting the
+    pairs weighed from positions.
     """
     nodes = graph.customers
     if rho <= 0 or len(nodes) < 2:
@@ -191,7 +192,7 @@ def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
                        for bx, by, bt, j in rows[k + 1:end]
                        if (w := alpha * hypot(ax - bx, ay - by)
                            + beta * abs(at - bt)) <= rho]
-    if graph.stores_taus:
+    if graph.conservative:
         tau, node = graph.tau, graph.node
         candidates = [(w, i, j) for _, i, j in candidates
                       if (w := alpha * tau(i, j)
@@ -209,12 +210,12 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     apply every matched merge. A pair within the radius has alpha*tau and
     beta*|dt| both <= rho, so after a sort on one axis only pairs within
     rho/alpha in space or rho/beta in time there are weighed: a round costs
-    O(n log n + pairs in the window), plus Graph.contract's conservative
-    entries.
+    O(n log n + pairs in the window).
 
     propagation="relaxed" widens merged windows and measures travel from
-    midpoints; "conservative" tightens them and contracts with worst-case
-    travel times, so a coarse route with no late stop expands to one with none.
+    midpoints; "conservative" tightens them and contracts to a conservative
+    graph, whose travel times are the worst case over the members, so a
+    coarse route with no late stop expands to one with none.
 
     Stops at the target size or as soon as a round produces no merge.
     Returns (coarse_graph, history), history being the MergeRecords oldest

@@ -42,20 +42,25 @@ class Graph:
     """Depot plus customer/super nodes with symmetric travel times.
 
     One node table holds every node by id: the depot is its first entry,
-    under DEPOT_ID, and the customers and super-nodes follow.
+    under DEPOT_ID, and the customers and super-nodes follow. A contracted
+    graph also keeps the original graph's node table, the depot and the
+    customers, which its nodes' member ids index.
 
-    A travel time is the distance between the two nodes' positions unless the
-    pair has a stored entry, which only conservative contraction writes: a
-    conservative super-node's time is the worst case over its children.
+    Every travel time is computed from the two nodes, none is stored: the
+    distance between their positions, unless the graph is conservative and
+    a node of the pair covers several customers; then it is the largest
+    distance between a member of one and a member of the other, the worst
+    case over the customers the pair stands for.
     """
 
-    def __init__(self, nodes: dict[int, CoarseNode],
-                 tau: dict[tuple[int, int], float], name: str = "graph"):
+    def __init__(self, nodes: dict[int, CoarseNode], name: str = "graph", *,
+                 origin: dict[int, CoarseNode] | None = None, conservative: bool = False):
         if next(iter(nodes), None) != DEPOT_ID:
             raise ValueError("the first node must be the depot, id 0")
         self.depot = nodes[DEPOT_ID]
         self._nodes = nodes
-        self._tau = tau
+        self._origin = nodes if origin is None else origin
+        self.conservative = conservative
         self.name = name
 
     @classmethod
@@ -67,7 +72,7 @@ class Graph:
         for c in instance.customers:
             nodes[c.id] = CoarseNode(c.id, "customer", c.x, c.y, c.demand, c.service,
                                      c.ready, c.due, nominal_visit_time(c), (c.id,))
-        return cls(nodes, {}, name=instance.name)
+        return cls(nodes, name=instance.name)
 
     def node(self, nid: int) -> CoarseNode:
         return self._nodes[nid]
@@ -83,36 +88,40 @@ class Graph:
     def customer_count(self) -> int:
         return len(self._nodes) - 1
 
-    @property
-    def stores_taus(self) -> bool:
-        """Whether some pair has a stored travel time, which may differ from
-        the distance between the two positions."""
-        return bool(self._tau)
-
     def tau(self, a: int, b: int) -> float:
-        if self._tau:           # most graphs store nothing: skip building the key
-            t = self._tau.get((a, b) if a < b else (b, a))
-            if t is not None:
-                return t
         p, q = self._nodes[a], self._nodes[b]
+        if self.conservative and (len(p.members) > 1 or len(q.members) > 1):
+            return self._member_max(p, q)
         return math.hypot(p.x - q.x, p.y - q.y)
+
+    def _member_max(self, p: CoarseNode, q: CoarseNode) -> float:
+        """Largest distance between a member of p and a member of q."""
+        origin, hypot = self._origin, math.hypot
+        ys = [origin[m] for m in q.members]
+        worst = 0.0
+        for x in map(origin.__getitem__, p.members):
+            for y in ys:
+                d = hypot(x.x - y.x, x.y - y.y)
+                if d > worst:
+                    worst = d
+        return worst
 
     def taus(self, a: int, bs) -> list[float]:
         """Travel times from a to each id of the sequence bs, equal to
         [self.tau(a, b) for b in bs]: the distances between the positions,
-        computed in one pass, with the graph's stored entries laid over them.
+        computed in one pass, with the member maxima of a conservative graph
+        laid over the pairs that involve a node of several customers.
         """
         nodes = self._nodes
         p = nodes[a]
         ax, ay = p.x, p.y
         hypot = math.hypot
         out = [hypot(ax - q.x, ay - q.y) for q in map(nodes.__getitem__, bs)]
-        if self._tau:
-            get = self._tau.get
-            for k, b in enumerate(bs):
-                t = get((a, b) if a < b else (b, a))
-                if t is not None:
-                    out[k] = t
+        if self.conservative:
+            several = len(p.members) > 1
+            for k, q in enumerate(map(nodes.__getitem__, bs)):
+                if several or len(q.members) > 1:
+                    out[k] = self._member_max(p, q)
         return out
 
     def contract(self, merges, conservative: bool = False):
@@ -124,17 +133,16 @@ class Graph:
         children's midpoint, sums their demand and gets the given window.
         By default its service time is the children's sum and travel times
         are measured from the midpoint. With conservative=True the internal
-        leg joins the service time (s_first + tau_ij + s_second) and travel
-        to any other node is the worst case over the children, so a coarse
-        schedule never promises more than the expanded route delivers.
+        leg joins the service time (s_first + tau_ij + s_second) and the new
+        graph is conservative: travel between nodes is the worst case over
+        their members, so a coarse schedule never promises more than the
+        expanded route delivers. Once a graph holds a super-node, every later
+        contraction must use the same mode.
 
-        Midpoint travel times follow from the positions, so nothing is
-        stored for them. The parent's stored entries between surviving nodes
-        are kept, and a conservative contraction gives each super-node one
-        entry per node of the final graph (depot, survivors and the round's
-        earlier supers). A call costs O(nodes), plus O(stored entries +
-        merges × final nodes) when conservative.
+        Nothing is stored for a travel time, so a call costs O(nodes).
         """
+        if conservative != self.conservative and len(self._nodes) < len(self._origin):
+            raise ValueError("a graph with super-nodes contracts in its own mode")
         # id order, the depot first; each new super-node has the largest id,
         # so it stays sorted
         nodes = {nid: self._nodes[nid] for nid in sorted(self._nodes)}
@@ -162,23 +170,10 @@ class Graph:
                 ready=ready, due=due, nominal_t=(ready + due) / 2.0,
                 members=a.members + b.members,
             )
-            supers.append((super_node, (i, j)))
-        merged = {nid for _, children in supers for nid in children}
-        # stored entries between surviving nodes, reusing the parent's key tuples
-        tau = {key: t for key, t in self._tau.items()
-               if key[0] not in merged and key[1] not in merged}
-        if conservative:
-            # (final node id, the nodes of this graph it covers); keys are (other, sid)
-            # because a super-node's id exceeds every id before it
-            finals = [(nid, (nid,)) for nid in nodes]
-            for super_node, children in supers:
-                sid = super_node.id
-                for other, others in finals:
-                    tau[(other, sid)] = max([self.tau(c, o)
-                                             for c in children for o in others])
-                finals.append((sid, children))
-        nodes.update((s.id, s) for s, _ in supers)
-        return Graph(nodes, tau, name=self.name), [s for s, _ in supers]
+            supers.append(super_node)
+        nodes.update((s.id, s) for s in supers)
+        return (Graph(nodes, self.name, origin=self._origin, conservative=conservative),
+                supers)
 
     def extent(self) -> float:
         """Largest bounding-box dimension over every node, depot included."""

@@ -17,9 +17,13 @@ def _coords(doc):
     if not isinstance(nodes, dict) or not nodes:
         raise DocumentError("document has no 'nodes' coordinate block to plot")
     try:
-        return {int(k): (float(v["x"]), float(v["y"])) for k, v in nodes.items()}
+        coords = {int(k): (float(v["x"]), float(v["y"])) for k, v in nodes.items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad node coordinates: {exc}") from exc
+    for nid, xy in coords.items():
+        if not all(map(math.isfinite, xy)):
+            raise DocumentError(f"node {nid} has a non-finite coordinate")
+    return coords
 
 
 def _route_distance(stops, coords):

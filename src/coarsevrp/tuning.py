@@ -201,14 +201,15 @@ def random_search(instance: Instance, space: SearchSpace, n_trials: int, seed: i
     Best is the lowest objective score, ties going to the earlier trial.
     Each trial runs once and carries its own final stop lists, metrics and
     timings, so the best one's solution is rebuilt from its `stops` without
-    running it again. Identical output for any `jobs` value.
+    running it again. Identical output for any `jobs` value; at most n_trials
+    worker processes start, as a fork pool starts all its workers at once.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_trials)) as pool:
             results = list(pool.map(run_trial, [instance] * n_trials,
                                     [space] * n_trials, [seed] * n_trials,
                                     range(n_trials), [propagation] * n_trials))

@@ -187,6 +187,18 @@ def test_plot_rejects_document_without_nodes(tmp_path, instance_file, capsys):
     assert main(["plot", str(sol)]) == 2
 
 
+def test_plot_rejects_non_finite_coordinates(tmp_path, instance_file, capsys):
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(instance_file), "-o", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["nodes"]["1"]["x"] = float("nan")            # json writes NaN, and reads it back
+    sol.write_text(json.dumps(doc))
+    svg = tmp_path / "nan.svg"
+    assert main(["plot", str(sol), "-o", str(svg)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not svg.exists()
+
+
 def test_plot_empty_solution(tmp_path, instance_file):
     sol = tmp_path / "sol.json"
     assert main(["solve", str(instance_file), "-o", str(sol)]) == 0

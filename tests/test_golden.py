@@ -2,7 +2,7 @@
 seeds, pinned by sha256 digest.
 
 Each digest hashes the exact `repr` of every float involved, so a refactor of
-coarsening, inflation or the travel-time store that changes any result, even
+coarsening, inflation or the travel-time rules that changes any result, even
 in the last bit, fails here. Recompute a digest only for a deliberate change
 of behaviour.
 """
@@ -41,6 +41,9 @@ PIPELINE_DIGESTS = {
         "1ff8695d86a0e0a4440d04b1dcd284f2d7557ddd7ad4c1d2843faa2c66511cd5",
 }
 
+CLI_DEFAULTS_CONSERVATIVE_DIGEST = (
+    "8e0c3e3131bc1ede1c08a32616e45f85e23083b8eb0a98e1df1b6c86a6cbafb5")
+
 
 def _params(propagation):
     return CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3, radius_coeff=4.0,
@@ -64,11 +67,10 @@ def coarsen_digest(propagation) -> str:
     return _digest(lines)
 
 
-def pipeline_digest(propagation, solver) -> str:
+def pipeline_digest(params, solver) -> str:
     lines = []
     for seed, n, family in COARSEN_CASES:
-        out = run_pipeline(gen.random_instance(seed, n, family=family),
-                           _params(propagation), solver)
+        out = run_pipeline(gen.random_instance(seed, n, family=family), params, solver)
         lines.append(repr([r.stops for r in out.solution.routes]))
         lines.append(repr([r.stops for r in out.coarse_solution.routes]))
         lines.append(f"{out.score!r} {out.metrics!r} {out.coarse_metrics!r}")
@@ -83,5 +85,12 @@ def test_coarse_graph_and_history_golden(propagation):
 @pytest.mark.parametrize("solver", ["greedy", "savings"])
 @pytest.mark.parametrize("propagation", MODES)
 def test_pipeline_golden(propagation, solver):
-    assert (pipeline_digest(propagation, solver)
+    assert (pipeline_digest(_params(propagation), solver)
             == PIPELINE_DIGESTS[propagation, solver])
+
+
+def test_conservative_pipeline_at_cli_defaults_golden():
+    # coarsening stalls after a few merges, so nearly every node of the coarse
+    # graph is a single customer
+    params = CoarseningParams(propagation="conservative")
+    assert pipeline_digest(params, "savings") == CLI_DEFAULTS_CONSERVATIVE_DIGEST

@@ -259,8 +259,8 @@ def reference_savings_solve(graph, capacity):
        propagation=st.sampled_from(PROPAGATION_MODES))
 def test_savings_equals_reference(inst, alpha, radius, propagation):
     # fractional coordinates, windows, service times and demands, with late
-    # stops and late depot returns; the conservative coarse graph stores its
-    # super-nodes' travel times
+    # stops and late depot returns; the conservative coarse graph takes its
+    # super-nodes' travel times from their members
     g = Graph.from_instance(inst)
     coarse, _ = coarsen(g, CoarseningParams(alpha=alpha, beta=1 - alpha, p_target=0.3,
                                             radius_coeff=radius, propagation=propagation))

@@ -160,6 +160,30 @@ def test_random_search_parallel_matches_serial():
     assert [strip(t) for t in serial] == [strip(t) for t in parallel]
 
 
+def test_random_search_starts_no_more_workers_than_trials(monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    started = []
+    monkeypatch.setattr("coarsevrp.tuning.ProcessPoolExecutor", SerialPool)
+    inst = gen.random_instance(23, 16, family="clustered")
+    _, serial = random_search(inst, SearchSpace(), 4, seed=11, jobs=1)
+    _, capped = random_search(inst, SearchSpace(), 4, seed=11, jobs=64)
+    assert started == [4]
+    assert [t.stops for t in capped] == [t.stops for t in serial]
+
+
 @pytest.mark.parametrize("field", ["alphas", "betas", "ps", "radius_coeffs", "solvers"])
 def test_search_space_rejects_an_empty_field(field):
     # an empty field would fail inside the first trial's draw with IndexError
