@@ -225,20 +225,21 @@ def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Ro
     departure = service_start + service. A stop is late when its
     service_start exceeds its due time; late stops are recorded, never
     rejected. With a capacity, the route is additionally flagged when total
-    demand exceeds it. The legs' travel times are summed into `distance`.
+    demand exceeds it. The legs' travel times are added into `distance` left
+    to right (the built-in `sum` of floats is compensated since Python 3.12).
     """
     stops = list(stops)
     if len(stops) < 2 or stops[0] != DEPOT_ID or stops[-1] != DEPOT_ID:
         raise ValueError("a route must start and end at the depot")
     schedule = [StopTiming(0.0, 0.0, 0.0, 0.0)]
     late = []
-    legs = []
+    distance = 0.0
     load = 0.0
     t = 0.0
     for pos in range(1, len(stops)):
         node = graph.node(stops[pos])
         leg = graph.tau(stops[pos - 1], stops[pos])
-        legs.append(leg)
+        distance += leg
         arrival = t + leg
         wait = max(0.0, node.ready - arrival)
         service_start = arrival + wait
@@ -249,7 +250,7 @@ def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Ro
         load += node.demand
         t = departure
     over = capacity is not None and load > capacity
-    return Route(stops, schedule, load, tuple(late), over, sum(legs))
+    return Route(stops, schedule, load, tuple(late), over, distance)
 
 
 def walk_schedule(graph: Graph, prev: int, t: float, stops) -> tuple[int, float]:

@@ -34,6 +34,13 @@ def _route_distance(stops, coords):
     return d
 
 
+def _xml_text(value) -> str:
+    """`value` as character data: xml.sax.saxutils.escape's three
+    replacements, without the urllib.request that importing it loads into
+    every command."""
+    return str(value).replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _color(k: int) -> str:
     return f"hsl({(k * 137.508) % 360:.1f}, 65%, 42%)"
 
@@ -70,7 +77,7 @@ def render_solution_svg(doc: dict) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{_MARGIN}" y="24" font-family="sans-serif" font-size="14">'
-        f'{doc.get("instance", "instance")} — {len(routes)} route(s)</text>',
+        f'{_xml_text(doc.get("instance", "instance"))} — {len(routes)} route(s)</text>',
         f'<g transform="translate({tx:.6f},{ty:.6f}) scale({s:.6f},{-s:.6f})" '
         f'stroke-linejoin="round" stroke-linecap="round">',
     ]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -197,6 +198,18 @@ def test_plot_rejects_non_finite_coordinates(tmp_path, instance_file, capsys):
     assert main(["plot", str(sol), "-o", str(svg)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not svg.exists()
+
+
+def test_plot_escapes_the_instance_title(tmp_path, instance_file):
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(instance_file), "-o", str(sol)]) == 0
+    doc = json.loads(sol.read_text())
+    doc["instance"] = "A&B <x>"                  # the Solomon title line is free text
+    sol.write_text(json.dumps(doc))
+    svg = tmp_path / "title.svg"
+    assert main(["plot", str(sol), "-o", str(svg)]) == 0
+    title = minidom.parse(str(svg)).getElementsByTagName("text")[0]
+    assert title.firstChild.data.startswith("A&B <x> — ")
 
 
 def test_plot_empty_solution(tmp_path, instance_file):
