@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from operator import itemgetter
 
 from .graph import CoarseNode, Graph
@@ -145,8 +146,57 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # rho/beta in time, on whichever axis the rows are sorted. The
 # float rounding in those bounds is a few ulps relative, and rounding
 # key + window is monotone, so widening the window by _WINDOW_MARGIN, far
-# more than those ulps, keeps every candidate.
+# more than those ulps, keeps every candidate. The same holds at any radius,
+# so every pair of weight <= rho/2 lies within the window of rho/2: that is
+# the inner ring of `coarsen`.
 _WINDOW_MARGIN = 1e-6
+
+
+def _sorted_rows(graph: Graph, params: CoarseningParams, rho: float):
+    """The customers as (x, y, nominal_t, id) rows sorted on one axis, x, y
+    or nominal time, whichever window (rho/alpha or rho/beta) covers the
+    smallest share of its values' spread. Returns (rows, keys, weight): the
+    rows, their values on that axis and its weight, alpha or beta. No rows
+    when rho <= 0 or fewer than two customers remain."""
+    nodes = graph.customers
+    weights = (params.alpha, params.alpha, params.beta)
+    if rho <= 0 or len(nodes) < 2:
+        return [], [], params.alpha
+    rows = [(n.x, n.y, n.nominal_t, n.id) for n in nodes]
+
+    def share(axis):                    # of the axis's spread one window covers
+        values = [row[axis] for row in rows]
+        spread = max(values) - min(values)
+        return rho / weights[axis] / spread if spread and weights[axis] else math.inf
+
+    axis = min((0, 1, 2), key=share)
+    rows.sort(key=itemgetter(axis))
+    return rows, [row[axis] for row in rows], weights[axis]
+
+
+def _window_ends(keys, weight: float, radius: float, starts):
+    """For each key, the end of its window of `radius` (radius/weight, widened
+    by _WINDOW_MARGIN): the first index from its start whose key lies past it."""
+    side = radius / weight * (1 + _WINDOW_MARGIN) if weight else math.inf
+    return [bisect_right(keys, key + side, lo) for key, lo in zip(keys, starts)]
+
+
+def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, ends):
+    """Weigh each row against rows[start:end]; returns the pairs (w, i, j),
+    i < j, with w <= rho, unsorted, and the number of pairs weighed from
+    positions. In a conservative graph the pairs kept are weighed again
+    with Graph.tau, as candidate_pairs says."""
+    alpha, beta, hypot = params.alpha, params.beta, math.hypot
+    pairs = [(w, i, j) if i < j else (w, j, i)
+             for (ax, ay, at, i), lo, hi in zip(rows, starts, ends)
+             for bx, by, bt, j in rows[lo:hi]
+             if (w := alpha * hypot(ax - bx, ay - by) + beta * abs(at - bt)) <= rho]
+    if graph.conservative:
+        tau, node = graph.tau, graph.node
+        pairs = [(w, i, j) for _, i, j in pairs
+                 if (w := alpha * tau(i, j)
+                     + beta * abs(node(i).nominal_t - node(j).nominal_t)) <= rho]
+    return pairs, sum(ends) - sum(starts)
 
 
 def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
@@ -157,59 +207,57 @@ def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
     Each customer becomes one (x, y, nominal_t, id) row. The rows are sorted
     on one axis, x, y or nominal time, whichever window (rho/alpha or
     rho/beta) covers the smallest share of its values' spread, and each row
-    is weighed against the rows after it that lie within one window; the
-    pruning is exact (see _WINDOW_MARGIN). A round costs O(n log n + pairs
-    in the window). A pair is weighed from the two positions. That weight is
-    exact unless the graph is conservative (Graph.conservative), and then it
-    is a lower bound, so only then are the pairs it keeps weighed again with
-    Graph.tau. Returns (candidates, pairs_scanned), the latter counting the
-    pairs weighed from positions.
+    is weighed against the rows after it that lie within one window: one
+    ring over the full window, so every pair in it is weighed once. The
+    pruning is exact (see _WINDOW_MARGIN), and a call costs
+    O(n log n + pairs in the window). A pair is weighed from the two
+    positions. That weight is exact unless the graph is conservative
+    (Graph.conservative), and then it is a lower bound, so only then are the
+    pairs it keeps weighed again with Graph.tau. Returns (candidates,
+    pairs_scanned), the latter counting the pairs weighed from positions.
     """
-    nodes = graph.customers
-    if rho <= 0 or len(nodes) < 2:
-        return [], 0
-    alpha, beta, hypot = params.alpha, params.beta, math.hypot
-    rows = [(n.x, n.y, n.nominal_t, n.id) for n in nodes]
-    xy_side = rho / alpha if alpha else math.inf
-    t_side = rho / beta if beta else math.inf
-
-    def share(axis_side):               # of the axis's spread one window covers
-        axis, side = axis_side
-        values = [row[axis] for row in rows]
-        spread = max(values) - min(values)
-        return side / spread if spread and side < math.inf else math.inf
-
-    axis, side = min(((0, xy_side), (1, xy_side), (2, t_side)), key=share)
-    side *= 1 + _WINDOW_MARGIN
-    rows.sort(key=itemgetter(axis))
-    keys = [row[axis] for row in rows]
-    candidates = []
-    scanned = 0
-    for k, (ax, ay, at, i) in enumerate(rows):
-        end = bisect_right(keys, keys[k] + side, k + 1)
-        scanned += end - k - 1
-        candidates += [(w, i, j) if i < j else (w, j, i)
-                       for bx, by, bt, j in rows[k + 1:end]
-                       if (w := alpha * hypot(ax - bx, ay - by)
-                           + beta * abs(at - bt)) <= rho]
-    if graph.conservative:
-        tau, node = graph.tau, graph.node
-        candidates = [(w, i, j) for _, i, j in candidates
-                      if (w := alpha * tau(i, j)
-                          + beta * abs(node(i).nominal_t - node(j).nominal_t)) <= rho]
+    rows, keys, weight = _sorted_rows(graph, params, rho)
+    starts = range(1, len(rows) + 1)
+    candidates, scanned = _weigh(graph, params, rho, rows, starts,
+                                 _window_ends(keys, weight, rho, starts))
     candidates.sort()
     return candidates, scanned
+
+
+def _match(graph: Graph, params: CoarseningParams, pairs, used: set, merges: list):
+    """Greedy matching over sorted (w, i, j) pairs: skip a pair with an end
+    in `used`, an infeasible service order or an empty conservative window,
+    and append every other one to `merges` as (i, j, order, window)."""
+    for _, i, j in pairs:
+        if i in used or j in used:
+            continue
+        tau = graph.tau(i, j)
+        order = choose_direction(graph.node(i), graph.node(j), tau)
+        if order is None:
+            continue
+        window = aggregate_window(order[0], order[1], tau, params.propagation)
+        if window[0] > window[1]:
+            continue
+        used.update((i, j))
+        merges.append((i, j, (order[0].id, order[1].id), window))
 
 
 def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     """Shrink the graph to at most p_target of its customer count.
 
-    Each round: rank the customer pairs within the merge radius by
-    spatio-temporal distance, then greedily match (each node once, depot
-    never, infeasible orders and empty conservative windows skipped) and
-    apply every matched merge. A pair within the radius has alpha*tau and
-    beta*|dt| both <= rho, so after a sort on one axis only pairs within
-    rho/alpha in space or rho/beta in time there are weighed: a round costs
+    Each round greedily matches the customer pairs within the merge radius
+    rho in order of spatio-temporal distance, then applies every matched
+    merge. The matching takes each node once and never the depot, and skips
+    infeasible orders and empty conservative windows. It runs in two rings
+    over the customers sorted on one axis, as in candidate_pairs. Ring 1
+    weighs each customer against the next ones within the window of rho/2
+    and matches the pairs of weight <= rho/2, all of which lie in that
+    window (see _WINDOW_MARGIN). Ring 2 weighs the outer half of the window,
+    only between customers still unmatched, and matches those pairs together
+    with ring 1's pairs of weight in (rho/2, rho] whose ends are both still
+    unmatched. Every pair is weighed at most once, and the merges are those
+    of one greedy pass over all pairs within rho in (w, i, j) order: a pair
+    with a matched end would have been skipped. A round costs
     O(n log n + pairs in the window).
 
     propagation="relaxed" widens merged windows and measures travel from
@@ -220,7 +268,9 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     Stops at the target size or as soon as a round produces no merge.
     Returns (coarse_graph, history), history being the MergeRecords oldest
     first; `trace`, when given, collects one summary dict per round, and the
-    last one gets "stop": "target" or "stalled".
+    last one gets "stop": "target" or "stalled". A round's "pairs_scanned"
+    counts the pairs both rings weighed from positions, and "candidates"
+    those of them within rho.
     """
     n0 = graph.customer_count
     history: list[MergeRecord] = []
@@ -228,24 +278,30 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     while graph.customer_count > params.p_target * n0:
         rounds += 1
         rho = radius_threshold(graph, params.radius_coeff)
-        candidates, scanned = candidate_pairs(graph, params, rho)
+        half = rho / 2
+        rows, keys, weight = _sorted_rows(graph, params, rho)
+        # ring 1: each row against the next ones within the window of rho/2
+        starts = range(1, len(rows) + 1)
+        mids = _window_ends(keys, weight, half, starts)
+        inner, scanned = _weigh(graph, params, rho, rows, starts, mids)
         used = set()
         merges = []
-        for _, i, j in candidates:
-            if i in used or j in used:
-                continue
-            tau = graph.tau(i, j)
-            order = choose_direction(graph.node(i), graph.node(j), tau)
-            if order is None:
-                continue
-            window = aggregate_window(order[0], order[1], tau, params.propagation)
-            if window[0] > window[1]:
-                continue
-            used.update((i, j))
-            merges.append((i, j, (order[0].id, order[1].id), window))
+        _match(graph, params, sorted([p for p in inner if p[0] <= half]), used, merges)
+        # ring 2: the rest of the window, between rows still unmatched; the
+        # first unmatched row at or after rows[k] is unmatched row free_before[k]
+        free = [row[3] not in used for row in rows]
+        free_before = list(accumulate(free, initial=0))
+        starts = [free_before[k] for k in compress(mids, free)]
+        outer, outer_scanned = _weigh(
+            graph, params, rho, list(compress(rows, free)), starts,
+            _window_ends(list(compress(keys, free)), weight, rho, starts))
+        _match(graph, params, sorted([p for p in inner if p[0] > half and p[1] not in used
+                                      and p[2] not in used] + outer),
+               used, merges)
         if trace is not None:
             trace.append({"round": rounds, "nodes_before": graph.customer_count,
-                          "pairs_scanned": scanned, "candidates": len(candidates),
+                          "pairs_scanned": scanned + outer_scanned,
+                          "candidates": len(inner) + len(outer),
                           "merges_applied": len(merges), "rho": rho})
         if not merges:
             break

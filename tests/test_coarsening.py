@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeRecord,
@@ -435,20 +435,27 @@ weights = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(0, 2))
 
 
 @st.composite
-def scan_cases(draw):
+def scan_graphs(draw):
+    """A graph of up to 30 customers and its mode: optionally a few pairs are
+    contracted first, so super-nodes and worst-case (conservative) travel
+    times are scanned too."""
     n = draw(st.integers(2, 30))
     points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
     windows = draw(st.lists(st.tuples(st.integers(0, 500), st.integers(0, 300),
                                       st.integers(0, 20)), min_size=n, max_size=n))
     graph = _graph_of(points, windows)
-    # optionally contract a few pairs first, so super-nodes and worst-case
-    # (conservative) travel times are scanned too
     conservative = draw(st.booleans())
     ids = draw(st.permutations(graph.customer_ids()))
     k = draw(st.integers(0, n // 2))
     merges = [(i, j, (i, j), (0.0, float(draw(st.integers(0, 900)))))
               for i, j in zip(ids[:k], ids[k:2 * k])]
     graph, _ = graph.contract(merges, conservative)
+    return graph, conservative
+
+
+@st.composite
+def scan_cases(draw):
+    graph, _ = draw(scan_graphs())
     alpha, beta = draw(weights), draw(weights)
     assume(alpha + beta > 0)
     params = CoarseningParams(alpha=alpha, beta=beta)
@@ -529,10 +536,12 @@ def test_pairs_scanned_is_all_pairs_when_rho_covers_the_extent(seed, n, alpha, b
     t_extent = max(times) - min(times)
     # rho = radius_coeff * extent / sqrt(n) >= alpha * extent and >= beta * t_extent
     coeff = math.sqrt(n) * max(alpha, beta * t_extent / g.extent()) + 1.0
+    params = CoarseningParams(alpha=alpha, beta=beta, p_target=0.5, radius_coeff=coeff)
+    _, scanned = candidate_pairs(g, params, radius_threshold(g, coeff))
+    assert scanned == n * (n - 1) // 2
+    # coarsen weighs the outer half of the window only between unmatched nodes
     trace = []
-    coarsen(g, CoarseningParams(alpha=alpha, beta=beta, p_target=0.5,
-                                radius_coeff=coeff), trace=trace)
-    assert trace[0]["pairs_scanned"] == n * (n - 1) // 2
+    coarsen(g, params, trace=trace)
     for r in trace:
         m = r["nodes_before"]
         assert r["candidates"] <= r["pairs_scanned"] <= m * (m - 1) // 2
@@ -546,3 +555,84 @@ def test_trace_reports_pairs_scanned_and_stop():
     assert trace[0]["pairs_scanned"] < 60 * 59 // 2
     assert [r.get("stop") for r in trace[:-1]] == [None] * (len(trace) - 1)
     assert trace[-1]["stop"] == ("target" if cg.customer_count <= 0.3 * 60 else "stalled")
+
+
+# ---------------------------------------------------------------------------
+# ring-by-ring matching against one full scan per round
+
+def _reference_coarsen(graph, params):
+    """coarsen as it ran before its matching went ring by ring: each round
+    weighs every pair, ranks those within the radius by (w, i, j) and
+    matches them greedily with the same vetoes."""
+    n0 = graph.customer_count
+    history = []
+    while graph.customer_count > params.p_target * n0:
+        used, merges = set(), []
+        for _, i, j in _full_scan(graph, params, radius_threshold(graph, params.radius_coeff)):
+            if i in used or j in used:
+                continue
+            tau = graph.tau(i, j)
+            order = choose_direction(graph.node(i), graph.node(j), tau)
+            if order is None:
+                continue
+            window = aggregate_window(order[0], order[1], tau, params.propagation)
+            if window[0] > window[1]:
+                continue
+            used.update((i, j))
+            merges.append((i, j, (order[0].id, order[1].id), window))
+        if not merges:
+            break
+        graph, supers = graph.contract(merges, params.propagation == "conservative")
+        history.extend(MergeRecord(sup.id, i, j, order, window)
+                       for sup, (i, j, order, window) in zip(supers, merges))
+    return graph, history
+
+
+@st.composite
+def coarsen_cases(draw):
+    graph, conservative = draw(scan_graphs())
+    alpha, beta = draw(weights), draw(weights)
+    assume(alpha + beta > 0)
+    # from radius 0 up to a coefficient whose first radius covers every pair
+    times = [c.nominal_t for c in graph.customers]
+    extent = graph.extent()
+    cover = 1.0
+    if extent:
+        cover += math.sqrt(graph.customer_count) * max(
+            alpha, beta * (max(times) - min(times)) / extent)
+    return graph, CoarseningParams(
+        alpha=alpha, beta=beta, p_target=draw(st.floats(0.01, 1)),
+        radius_coeff=draw(st.floats(0, 1)) * cover,
+        propagation="conservative" if conservative else "relaxed")
+
+
+# rho = 1 * extent 8 / sqrt(4) = 4: the pairs 1-2 and 2-3 weigh exactly rho/2,
+# 3-4 weighs 3, beyond the window of rho/2, and 1-3 weighs rho
+_HALF_RADIUS_CASE = (_graph_of([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0), (8.0, 0.0)],
+                               [(0, 900, 0)] * 4),
+                     CoarseningParams(alpha=1.0, beta=0.0, p_target=0.5, radius_coeff=1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coarsen_cases())
+@example(_HALF_RADIUS_CASE)
+def test_coarsen_matches_as_one_full_scan_per_round(case):
+    graph, params = case
+    trace = []
+    cg, history = coarsen(graph, params, trace=trace)
+    ref, ref_history = _reference_coarsen(graph, params)
+    assert history == ref_history
+    assert cg.customers == ref.customers
+    # each pair is weighed at most once: round 1 weighs no more than one full scan
+    if trace:
+        candidates, scanned = candidate_pairs(graph, params, trace[0]["rho"])
+        assert trace[0]["pairs_scanned"] <= scanned
+        assert trace[0]["candidates"] <= len(candidates)
+
+
+def test_half_radius_pairs_match_before_the_outer_ring():
+    graph, params = _HALF_RADIUS_CASE
+    trace = []
+    _, history = coarsen(graph, params, trace=trace)
+    assert [(r.left, r.right) for r in history] == [(1, 2), (3, 4)]
+    assert trace[0]["rho"] == 4.0
