@@ -15,8 +15,8 @@ from .instances import (DocumentError, build_solution_document, load_instance,
                         read_solution, trial_row, write_solution, write_trials_csv)
 from .plotting import render_solution_svg
 from .report import build_report, format_report, write_report_csv
-from .tuning import (SOLVERS, SearchSpace, random_search, run_baseline, run_pipeline,
-                     solve_baseline, trial_solution)
+from .tuning import (SOLVERS, SearchSpace, run_campaign, run_pipeline, solve_baseline,
+                     trial_solution)
 
 
 def _summary_line(tag: str, metrics, score: float) -> str:
@@ -100,11 +100,14 @@ def _space_from(args) -> SearchSpace:
 
 
 def cmd_tune(args) -> int:
+    """Trials and both baselines of one campaign, from run_campaign. With
+    --jobs > 1 the baselines run in the trials' pool, so baselines.csv's
+    solve_ms is timed with the other workers busy, as every trial's is."""
     instance = load_instance(args.instance)
     space = _space_from(args)              # a bad search space exits before any trial
-    best, trials = random_search(instance, space, args.trials, args.seed,
-                                 propagation=args.propagation, jobs=args.jobs)
-    baselines = [run_baseline(instance, s) for s in SOLVERS]
+    best, trials, baselines = run_campaign(instance, space, args.trials, args.seed,
+                                           propagation=args.propagation, jobs=args.jobs,
+                                           baselines=tuple(SOLVERS))
     out_dir = Path(args.out_dir)           # made only once the campaign has run
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trials_csv(out_dir / "trials.csv",

@@ -38,9 +38,17 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
     return to the depot; ties go to the lower id. When nothing fits, the
     route is closed and a fresh one opened. Nodes infeasible even on a fresh
     route become flagged singleton routes so nothing is silently dropped.
+
+    The depot legs come from one Graph.taus call. At each step the
+    unrouted nodes that fit the load, in id order, get their legs from the
+    route's last stop in one more, and are tried in the order of a stable
+    sort on the leg until one meets both time tests: the smallest leg,
+    ties going to the lower id.
     """
     depot = graph.depot
     unrouted = graph.customer_ids()
+    nodes = {c: graph.node(c) for c in unrouted}
+    homes = dict(zip(unrouted, graph.taus(DEPOT_ID, unrouted)))
     routes: list[Route] = []
     flagged: list[int] = []
     while unrouted:
@@ -48,27 +56,19 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
         time = 0.0
         load = 0.0
         while True:
-            best = None
-            best_key = None
-            for c in unrouted:
-                node = graph.node(c)
-                if load + node.demand > capacity:
-                    continue
-                leg = graph.tau(stops[-1], c)
+            fits = [c for c in unrouted if not load + nodes[c].demand > capacity]
+            for leg, c in sorted(zip(graph.taus(stops[-1], fits), fits), key=itemgetter(0)):
+                node = nodes[c]
                 start = max(time + leg, node.ready)
-                if start > node.due:
+                if start > node.due or start + node.service + homes[c] > depot.due:
                     continue
-                if start + node.service + graph.tau(c, DEPOT_ID) > depot.due:
-                    continue
-                if best_key is None or leg < best_key:
-                    best, best_key = c, leg
-            if best is None:
+                time = start + node.service
+                load += node.demand
+                stops.append(c)
+                unrouted.remove(c)
                 break
-            node = graph.node(best)
-            time = max(time + graph.tau(stops[-1], best), node.ready) + node.service
-            load += node.demand
-            stops.append(best)
-            unrouted.remove(best)
+            else:
+                break
         if len(stops) == 1:
             # nothing fits even a fresh vehicle: emit the rest as flagged singletons
             for c in unrouted:

@@ -8,6 +8,7 @@ are identical no matter how trials are scheduled across processes.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -201,20 +202,68 @@ def random_search(instance: Instance, space: SearchSpace, n_trials: int, seed: i
     Best is the lowest objective score, ties going to the earlier trial.
     Each trial runs once and carries its own final stop lists, metrics and
     timings, so the best one's solution is rebuilt from its `stops` without
-    running it again. Identical output for any `jobs` value; at most n_trials
-    worker processes start, as a fork pool starts all its workers at once.
+    running it again. Identical output for any `jobs` value; the trials run
+    as in run_campaign(), without baselines.
+    """
+    best, results, _ = run_campaign(instance, space, n_trials, seed, propagation, jobs)
+    return best, results
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_task(instance: Instance, space: SearchSpace, seed: int, propagation: str,
+              task: int | str) -> TrialResult:
+    """A campaign task: a trial index, or the solver name of a baseline."""
+    if isinstance(task, str):
+        return run_baseline(instance, task)
+    return run_trial(instance, space, seed, task, propagation)
+
+
+_worker_args: tuple = ()   # a pool worker's (instance, space, seed, propagation)
+
+
+def _start_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_task(task: int | str) -> TrialResult:
+    return _run_task(*_worker_args, task)
+
+
+def run_campaign(instance: Instance, space: SearchSpace, n_trials: int, seed: int,
+                 propagation: str = "relaxed", jobs: int = 1,
+                 baselines=()):
+    """Run trials 0..n_trials-1 and a run_baseline of each solver named in
+    `baselines`; returns (best trial, the trials in order, the baselines in
+    the order named). Best is as in random_search().
+
+    With jobs > 1 every task runs in one process pool of at most jobs
+    workers, capped at the task count and at the CPUs this process may use.
+    The baselines are queued first, as the longest tasks, so that no worker
+    idles at the end; each is timed while the other workers run trials, as
+    each trial is. The instance, space, seed and propagation reach each
+    worker once, as the pool's initargs, under any start method. With one
+    job, or one worker after the caps, every task runs here, in order.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_trials)) as pool:
-            results = list(pool.map(run_trial, [instance] * n_trials,
-                                    [space] * n_trials, [seed] * n_trials,
-                                    range(n_trials), [propagation] * n_trials))
+    tasks = [*baselines, *range(n_trials)]
+    args = (instance, space, seed, propagation)
+    workers = min(jobs, len(tasks), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=args) as pool:
+            results = list(pool.map(_worker_task, tasks))
     else:
-        results = [run_trial(instance, space, seed, i, propagation)
-                   for i in range(n_trials)]
-    best = min(results, key=lambda r: (r.score, r.trial))
-    return best, results
+        results = [_run_task(*args, task) for task in tasks]
+    trials = results[len(baselines):]
+    best = min(trials, key=lambda r: (r.score, r.trial))
+    return best, trials, results[:len(baselines)]

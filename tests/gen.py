@@ -163,21 +163,26 @@ def drawn_instances(draw, max_customers=10, bound=1e300):
 
 
 @st.composite
-def windowed_instances(draw, max_customers=14):
+def windowed_instances(draw, max_customers=14, grid=None):
     """An instance on a 100 x 100 square with fractional coordinates,
     windows, service times and demands, whose windows and depot closing time
     are tight enough that some stops and some depot returns are late, and
-    whose demands are large enough that some routes exceed the capacity."""
+    whose demands are large enough that some routes exceed the capacity.
+    With grid=k the coordinates are integers in [0, k] instead, so that on a
+    small grid many travel times are equal."""
     def number(lo, hi):
         return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    def coordinate():
+        return number(0.0, 100.0) if grid is None else float(draw(st.integers(0, grid)))
 
     horizon = number(50.0, 600.0)
     capacity = number(40.0, 150.0)
     customers = []
     for cid in range(1, draw(st.integers(1, max_customers)) + 1):
         ready = number(0.0, horizon)
-        customers.append(Customer(cid, number(0.0, 100.0), number(0.0, 100.0),
+        customers.append(Customer(cid, coordinate(), coordinate(),
                                   number(0.0, 40.0), ready, ready + number(0.0, 200.0),
                                   number(0.0, 20.0)))
-    depot = Customer(0, number(0.0, 100.0), number(0.0, 100.0), 0.0, 0.0, horizon, 0.0)
+    depot = Customer(0, coordinate(), coordinate(), 0.0, 0.0, horizon, 0.0)
     return Instance("windowed", 25, capacity, depot, tuple(customers))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 from xml.dom import minidom
 
@@ -271,22 +272,29 @@ def test_tune_deterministic_modulo_timings(tmp_path, instance_file):
     assert rows[0] == rows[1]
 
 
-def test_tune_output_is_the_same_for_any_jobs(tmp_path, instance_file):
+def _tune_outputs(out_dir: Path):
+    """(trials.csv and baselines.csv rows, best_solution.json), without timings."""
     timing_cols = ("coarsen_ms", "solve_ms", "inflate_ms")
-    outputs = []
-    for jobs in ("1", "2"):
-        out_dir = tmp_path / f"jobs{jobs}"
-        assert main(["tune", str(instance_file), "--trials", "6", "--seed", "7",
+    tables = [[{k: v for k, v in row.items() if k not in timing_cols}
+               for row in _read_rows(out_dir / name)]
+              for name in ("trials.csv", "baselines.csv")]
+    doc = read_solution(out_dir / "best_solution.json")
+    del doc["timings"]
+    return tables, doc
+
+
+def test_tune_output_is_the_same_for_any_jobs(tmp_path, instance_file):
+    # with one trial the pool has more baselines than trials
+    outputs = {}
+    for trials, jobs in product(("6", "1"), ("1", "2")):
+        out_dir = tmp_path / f"trials{trials}_jobs{jobs}"
+        assert main(["tune", str(instance_file), "--trials", trials, "--seed", "7",
                      "--jobs", jobs, "--out-dir", str(out_dir)]) == 0
-        tables = [[{k: v for k, v in row.items() if k not in timing_cols}
-                   for row in _read_rows(out_dir / name)]
-                  for name in ("trials.csv", "baselines.csv")]
-        doc = read_solution(out_dir / "best_solution.json")
-        del doc["timings"]
-        outputs.append((tables, doc))
-    assert outputs[0] == outputs[1]
+        outputs[trials, jobs] = _tune_outputs(out_dir)
+    assert outputs["6", "1"] == outputs["6", "2"]
+    assert outputs["1", "1"] == outputs["1", "2"]
     # the best trial's document equals one rebuilt by running its parameters again
-    (trials, _), doc = outputs[0]
+    (trials, _), doc = outputs["6", "1"]
     best = min(trials, key=lambda row: (float(row["score"]), int(row["trial"])))
     params = CoarseningParams(alpha=float(best["alpha"]), beta=float(best["beta"]),
                               p_target=float(best["p"]),
@@ -417,17 +425,36 @@ def test_report_rejects_non_finite_numbers(tmp_path, capsys, name, column, value
     assert f"{column} is not a finite number" in capsys.readouterr().err
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports the same copy of
+    the package as this test."""
+    src = str(Path(coarsevrp.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_script_entry_point(tmp_path, instance_file):
     out = tmp_path / "s.json"
-    # the child imports the same copy of the package as this test
-    src = str(Path(coarsevrp.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "coarsevrp.cli", "solve",
                            str(instance_file), "-o", str(out)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_tune_jobs_under_forkserver_equals_serial(tmp_path, instance_file):
+    # forkserver workers inherit nothing from the parent's memory, so the
+    # instance must reach them through the pool itself; it is Linux's
+    # default start method from Python 3.14
+    code = ("import multiprocessing, sys; multiprocessing.set_start_method('forkserver'); "
+            "from coarsevrp.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["tune", str(instance_file), "--trials", "4", "--seed", "5"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--jobs", "2",
+                           "--out-dir", str(tmp_path / "forkserver")],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, "--jobs", "1", "--out-dir", str(tmp_path / "serial")]) == 0
+    assert _tune_outputs(tmp_path / "forkserver") == _tune_outputs(tmp_path / "serial")
 
 
 # sha256 of every file the CLI writes, and of what it prints, on two fixed

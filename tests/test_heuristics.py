@@ -267,3 +267,68 @@ def test_savings_equals_reference(inst, alpha, radius, propagation):
     for graph in (g, coarse):
         got = savings_solve(graph, inst.capacity)
         assert got == reference_savings_solve(graph, inst.capacity)
+
+
+# ---------------------------------------------------------------------------
+# greedy_solve against its plain reference
+
+def reference_greedy_solve(graph, capacity):
+    """greedy_solve as it was before it read each step's legs in one pass,
+    kept verbatim: two tau calls per candidate per step and a running
+    minimum with a strict comparison. greedy_solve must return the same
+    routes."""
+    depot = graph.depot
+    unrouted = graph.customer_ids()
+    routes = []
+    flagged = []
+    while unrouted:
+        stops = [DEPOT_ID]
+        time = 0.0
+        load = 0.0
+        while True:
+            best = None
+            best_key = None
+            for c in unrouted:
+                node = graph.node(c)
+                if load + node.demand > capacity:
+                    continue
+                leg = graph.tau(stops[-1], c)
+                start = max(time + leg, node.ready)
+                if start > node.due:
+                    continue
+                if start + node.service + graph.tau(c, DEPOT_ID) > depot.due:
+                    continue
+                if best_key is None or leg < best_key:
+                    best, best_key = c, leg
+            if best is None:
+                break
+            node = graph.node(best)
+            time = max(time + graph.tau(stops[-1], best), node.ready) + node.service
+            load += node.demand
+            stops.append(best)
+            unrouted.remove(best)
+        if len(stops) == 1:
+            # nothing fits even a fresh vehicle: emit the rest as flagged singletons
+            for c in unrouted:
+                flagged.append(len(routes))
+                routes.append(recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity))
+            break
+        routes.append(recompute_schedule(stops + [DEPOT_ID], graph, capacity))
+    return Solution(routes, "greedy", graph.name, tuple(flagged))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=st.one_of(gen.windowed_instances(), gen.windowed_instances(grid=4),
+                     gen.drawn_instances(max_customers=14, bound=100.0)),
+       alpha=st.sampled_from([0.3, 0.9]), radius=st.sampled_from([1.0, 4.0]),
+       propagation=st.sampled_from(PROPAGATION_MODES))
+def test_greedy_equals_reference(inst, alpha, radius, propagation):
+    # on the integer grid [0, 4]² many legs are equal, so the lower-id rule decides;
+    # the conservative coarse graph takes its super-nodes' travel times
+    # from their members
+    g = Graph.from_instance(inst)
+    coarse, _ = coarsen(g, CoarseningParams(alpha=alpha, beta=1 - alpha, p_target=0.3,
+                                            radius_coeff=radius, propagation=propagation))
+    for graph in (g, coarse):
+        got = greedy_solve(graph, inst.capacity)
+        assert got == reference_greedy_solve(graph, inst.capacity)

@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from coarsevrp.graph import Graph
 from coarsevrp.heuristics import savings_solve
 from coarsevrp.instances import TRIAL_FIELDS, trial_row
 from coarsevrp.tuning import (SOLVERS, SearchSpace, TrialResult, random_search,
-                              run_baseline, run_pipeline, run_trial,
+                              run_baseline, run_campaign, run_pipeline, run_trial,
                               sample_params, trial_seed, trial_solution)
 
 import gen
@@ -160,11 +161,17 @@ def test_random_search_parallel_matches_serial():
     assert [strip(t) for t in serial] == [strip(t) for t in parallel]
 
 
-def test_random_search_starts_no_more_workers_than_trials(monkeypatch):
-    # a fork pool starts all max_workers processes at the first submit
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swaps the process pool for one that runs each task here, after the
+    initializer, as a worker would; records each pool's worker count and
+    the tasks it was given."""
+    record = SimpleNamespace(started=[], tasks=[])
+
     class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+        def __init__(self, max_workers, initializer, initargs):
+            record.started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -172,16 +179,41 @@ def test_random_search_starts_no_more_workers_than_trials(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, tasks):
+            record.tasks.append(list(tasks))
+            return map(fn, record.tasks[-1])
 
-    started = []
     monkeypatch.setattr("coarsevrp.tuning.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("coarsevrp.tuning._worker_args", ())
+    return record
+
+
+def test_random_search_starts_no_more_workers_than_trials(serial_pool, monkeypatch):
+    # a fork pool starts all max_workers processes at the first submit; the
+    # CPU count is stubbed, so no test starts that many
     inst = gen.random_instance(23, 16, family="clustered")
     _, serial = random_search(inst, SearchSpace(), 4, seed=11, jobs=1)
-    _, capped = random_search(inst, SearchSpace(), 4, seed=11, jobs=64)
-    assert started == [4]
-    assert [t.stops for t in capped] == [t.stops for t in serial]
+    runs = []
+    for cpus in (64, 3, 1):
+        monkeypatch.setattr("coarsevrp.tuning._usable_cpus", lambda: cpus)
+        runs.append(random_search(inst, SearchSpace(), 4, seed=11, jobs=64)[1])
+    assert serial_pool.started == [min(64, 4, 64), min(64, 4, 3)]   # one CPU: no pool
+    assert [[t.stops for t in run] for run in runs] == [[t.stops for t in serial]] * 3
+
+
+def test_campaign_queues_its_baselines_first_in_the_trials_pool(serial_pool, monkeypatch):
+    monkeypatch.setattr("coarsevrp.tuning._usable_cpus", lambda: 2)
+    inst = gen.random_instance(23, 16, family="clustered")
+    solvers = tuple(SOLVERS)
+    serial = run_campaign(inst, SearchSpace(), 1, seed=11, jobs=1, baselines=solvers)
+    pooled = run_campaign(inst, SearchSpace(), 1, seed=11, jobs=2, baselines=solvers)
+    assert serial_pool.started == [2] and serial_pool.tasks == [[*solvers, 0]]
+    strip = lambda t: (t.trial, t.solver, t.metrics, t.score, t.stops)
+    trial = strip(run_trial(inst, SearchSpace(), 11, 0))
+    for best, trials, baselines in (serial, pooled):
+        assert strip(best) == trial and [strip(t) for t in trials] == [trial]
+        assert [strip(b) for b in baselines] == [strip(run_baseline(inst, s))
+                                                 for s in solvers]
 
 
 @pytest.mark.parametrize("field", ["alphas", "betas", "ps", "radius_coeffs", "solvers"])
