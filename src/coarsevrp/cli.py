@@ -158,8 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_propagation(p):
         p.add_argument("--propagation", choices=PROPAGATION_MODES, default="relaxed",
                        help="relaxed widens merged time windows; conservative tightens "
-                            "them and uses worst-case travel times, so a coarse route with "
-                            "no late stop expands to one with none (default: relaxed)")
+                            "them and uses travel times that are an upper bound over the "
+                            "members, so a coarse route with no late stop expands to one "
+                            "with none (default: relaxed)")
 
     p = sub.add_parser("solve", help="coarsen, solve, inflate one instance")
     add_instance(p)

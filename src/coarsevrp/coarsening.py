@@ -25,7 +25,7 @@ class CoarseningParams:
     beta: float = 0.5             # weight on temporal separation
     p_target: float = 0.5         # stop once customer count <= p_target * original
     radius_coeff: float = 1.0     # multiplier on the extent-based merge radius
-    propagation: str = "relaxed"  # "conservative" also makes travel times worst-case
+    propagation: str = "relaxed"  # "conservative" also bounds travel times over members
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.alpha, self.beta, self.radius_coeff))):
@@ -139,16 +139,16 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # Why the sweep in `candidate_pairs` drops no candidate. A candidate has
 # alpha*tau <= rho and beta*|dt| <= rho (both terms of its weight are >= 0),
 # and tau >= the distance between the two positions: midpoint tau is that
-# distance, and conservative tau is a max over member pairs, which by
-# convexity is >= the distance between the two positions, as each position is
-# a weighted mean of its members' positions. So the two x, the two y and the
-# two nominal times differ by at most one window, rho/alpha in space and
-# rho/beta in time, on whichever axis the rows are sorted. The
-# float rounding in those bounds is a few ulps relative, and rounding
-# key + window is monotone, so widening the window by _WINDOW_MARGIN, far
-# more than those ulps, keeps every candidate. The same holds at any radius,
-# so every pair of weight <= rho/2 lies within the window of rho/2: that is
-# the inner ring of `coarsen`.
+# distance, and conservative tau adds the two nodes' covering radii to it.
+# A radius is >= 0; it makes tau bound every member-to-member distance by the
+# triangle inequality, but the sweep needs only that it is non-negative. So
+# the two x, the two y and the two nominal times differ by at most one window,
+# rho/alpha in space and rho/beta in time, on whichever axis the rows are
+# sorted. The float rounding in those bounds is a few ulps relative, and
+# rounding key + window is monotone, so widening the window by _WINDOW_MARGIN,
+# far more than those ulps, keeps every candidate. The same holds at any
+# radius, so every pair of weight <= rho/2 lies within the window of rho/2:
+# that is the inner ring of `coarsen`.
 _WINDOW_MARGIN = 1e-6
 
 
@@ -185,7 +185,8 @@ def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, end
     """Weigh each row against rows[start:end]; returns the pairs (w, i, j),
     i < j, with w <= rho, unsorted, and the number of pairs weighed from
     positions. In a conservative graph the pairs kept are weighed again
-    with Graph.tau, as candidate_pairs says."""
+    with Graph.tau, which adds the two covering radii, as candidate_pairs
+    says; O(1) a pair."""
     alpha, beta, hypot = params.alpha, params.beta, math.hypot
     pairs = [(w, i, j) if i < j else (w, j, i)
              for (ax, ay, at, i), lo, hi in zip(rows, starts, ends)
@@ -212,8 +213,9 @@ def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
     pruning is exact (see _WINDOW_MARGIN), and a call costs
     O(n log n + pairs in the window). A pair is weighed from the two
     positions. That weight is exact unless the graph is conservative
-    (Graph.conservative), and then it is a lower bound, so only then are the
-    pairs it keeps weighed again with Graph.tau. Returns (candidates,
+    (Graph.conservative), whose travel times add the two nodes' covering
+    radii; then it is a lower bound, so only then are the pairs it keeps
+    weighed again with Graph.tau. Returns (candidates,
     pairs_scanned), the latter counting the pairs weighed from positions.
     """
     rows, keys, weight = _sorted_rows(graph, params, rho)
@@ -262,8 +264,9 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
 
     propagation="relaxed" widens merged windows and measures travel from
     midpoints; "conservative" tightens them and contracts to a conservative
-    graph, whose travel times are the worst case over the members, so a
-    coarse route with no late stop expands to one with none.
+    graph, whose travel times add covering radii to the distance, an upper
+    bound over the members (see Graph), so a coarse route with no late stop
+    expands to one with none.
 
     Stops at the target size or as soon as a round produces no merge.
     Returns (coarse_graph, history), history being the MergeRecords oldest

@@ -23,6 +23,9 @@ class CoarseNode:
     due: float
     nominal_t: float
     members: tuple[int, ...]
+    # no member lies farther than this from (x, y); 0 except for the
+    # super-nodes of a conservative graph
+    radius: float = field(default=0.0, repr=False)
 
 
 def travel_time(a, b) -> float:
@@ -42,24 +45,24 @@ class Graph:
     """Depot plus customer/super nodes with symmetric travel times.
 
     One node table holds every node by id: the depot is its first entry,
-    under DEPOT_ID, and the customers and super-nodes follow. A contracted
-    graph also keeps the original graph's node table, the depot and the
-    customers, which its nodes' member ids index.
+    under DEPOT_ID, and the customers and super-nodes follow.
 
     Every travel time is computed from the two nodes, none is stored: the
-    distance between their positions, unless the graph is conservative and
-    a node of the pair covers several customers; then it is the largest
-    distance between a member of one and a member of the other, the worst
-    case over the customers the pair stands for.
+    distance between their positions, plus, when the graph is conservative,
+    both nodes' covering radii. No member lies farther from its node's
+    position than the node's radius, so by the triangle inequality that sum
+    is at least the distance between any member of one and any member of the
+    other: an upper bound over the customers the pair stands for. When a
+    radius is not 0 the sum is rounded up by one ulp, as the bound holds with
+    equality for collinear points and a rounded-down sum would fall below it.
     """
 
     def __init__(self, nodes: dict[int, CoarseNode], name: str = "graph", *,
-                 origin: dict[int, CoarseNode] | None = None, conservative: bool = False):
+                 conservative: bool = False):
         if next(iter(nodes), None) != DEPOT_ID:
             raise ValueError("the first node must be the depot, id 0")
         self.depot = nodes[DEPOT_ID]
         self._nodes = nodes
-        self._origin = nodes if origin is None else origin
         self.conservative = conservative
         self.name = name
 
@@ -90,39 +93,23 @@ class Graph:
 
     def tau(self, a: int, b: int) -> float:
         p, q = self._nodes[a], self._nodes[b]
-        if self.conservative and (len(p.members) > 1 or len(q.members) > 1):
-            return self._member_max(p, q)
+        if self.conservative and (r := p.radius + q.radius):
+            return math.nextafter(math.hypot(p.x - q.x, p.y - q.y) + r, math.inf)
         return math.hypot(p.x - q.x, p.y - q.y)
-
-    def _member_max(self, p: CoarseNode, q: CoarseNode) -> float:
-        """Largest distance between a member of p and a member of q."""
-        origin, hypot = self._origin, math.hypot
-        ys = [origin[m] for m in q.members]
-        worst = 0.0
-        for x in map(origin.__getitem__, p.members):
-            for y in ys:
-                d = hypot(x.x - y.x, x.y - y.y)
-                if d > worst:
-                    worst = d
-        return worst
 
     def taus(self, a: int, bs) -> list[float]:
         """Travel times from a to each id of the sequence bs, equal to
-        [self.tau(a, b) for b in bs]: the distances between the positions,
-        computed in one pass, with the member maxima of a conservative graph
-        laid over the pairs that involve a node of several customers.
-        """
+        [self.tau(a, b) for b in bs], computed in one pass."""
         nodes = self._nodes
         p = nodes[a]
         ax, ay = p.x, p.y
         hypot = math.hypot
-        out = [hypot(ax - q.x, ay - q.y) for q in map(nodes.__getitem__, bs)]
         if self.conservative:
-            several = len(p.members) > 1
-            for k, q in enumerate(map(nodes.__getitem__, bs)):
-                if several or len(q.members) > 1:
-                    out[k] = self._member_max(p, q)
-        return out
+            r, up, inf = p.radius, math.nextafter, math.inf
+            return [up(d + s, inf) if (s := r + q.radius) else d
+                    for q in map(nodes.__getitem__, bs)
+                    for d in (hypot(ax - q.x, ay - q.y),)]
+        return [hypot(ax - q.x, ay - q.y) for q in map(nodes.__getitem__, bs)]
 
     def contract(self, merges, conservative: bool = False):
         """Apply one round of disjoint (i, j, order, window) merges in list
@@ -133,15 +120,18 @@ class Graph:
         children's midpoint, sums their demand and gets the given window.
         By default its service time is the children's sum and travel times
         are measured from the midpoint. With conservative=True the internal
-        leg joins the service time (s_first + tau_ij + s_second) and the new
-        graph is conservative: travel between nodes is the worst case over
-        their members, so a coarse schedule never promises more than the
-        expanded route delivers. Once a graph holds a super-node, every later
-        contraction must use the same mode.
+        leg joins the service time (s_first + tau_ij + s_second), the
+        super-node gets the covering radius max(r_a + |a - c|, r_b + |b - c|)
+        around its midpoint c, rounded up by one ulp, and the new graph is
+        conservative: travel between nodes adds both radii to the distance
+        (see Graph), an upper bound over their members, so a coarse schedule
+        never promises more than the expanded route delivers. Once a graph
+        holds a super-node, every later contraction must use the same mode.
 
         Nothing is stored for a travel time, so a call costs O(nodes).
         """
-        if conservative != self.conservative and len(self._nodes) < len(self._origin):
+        if conservative != self.conservative and any(
+                n.kind == "supernode" for n in self._nodes.values()):
             raise ValueError("a graph with super-nodes contracts in its own mode")
         # id order, the depot first; each new super-node has the largest id,
         # so it stays sorted
@@ -158,22 +148,23 @@ class Graph:
                     raise ValueError(f"node {nid} is merged twice in one round")
             a, b = nodes.pop(order[0]), nodes.pop(order[1])
             ready, due = window
+            x, y = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
             if conservative:
                 service = a.service + self.tau(i, j) + b.service
+                radius = math.nextafter(max(a.radius + math.hypot(a.x - x, a.y - y),
+                                            b.radius + math.hypot(b.x - x, b.y - y)),
+                                        math.inf)
             else:
-                service = a.service + b.service
+                service, radius = a.service + b.service, 0.0
             top += 1
-            super_node = CoarseNode(
-                id=top, kind="supernode",
-                x=(a.x + b.x) / 2.0, y=(a.y + b.y) / 2.0,
+            supers.append(CoarseNode(
+                id=top, kind="supernode", x=x, y=y,
                 demand=a.demand + b.demand, service=service,
                 ready=ready, due=due, nominal_t=(ready + due) / 2.0,
-                members=a.members + b.members,
-            )
-            supers.append(super_node)
+                members=a.members + b.members, radius=radius,
+            ))
         nodes.update((s.id, s) for s in supers)
-        return (Graph(nodes, self.name, origin=self._origin, conservative=conservative),
-                supers)
+        return Graph(nodes, self.name, conservative=conservative), supers
 
     def extent(self) -> float:
         """Largest bounding-box dimension over every node, depot included."""

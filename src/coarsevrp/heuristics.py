@@ -2,7 +2,7 @@
 
 Both heuristics work on any Graph (original or coarsened) and only need the
 vehicle capacity; they never assume Euclidean travel times, so they run
-unchanged on coarse graphs with worst-case super-node times.
+unchanged on coarse graphs whose super-node times bound their members'.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeRecord,
@@ -214,7 +214,8 @@ def test_contract_conservative_tau_is_worst_case():
     g = _three_node_graph()
     window = aggregate_window(g.node(1), g.node(2), g.tau(1, 2), "conservative")
     g2, (sup,) = g.contract([(1, 2, (1, 2), window)], conservative=True)
-    assert abs(g2.tau(sup.id, 3) - 10.0) < TOL         # max(10, 6)
+    assert sup.radius >= 2.0                           # (2,0) to either child
+    assert abs(g2.tau(sup.id, 3) - 10.0) < TOL         # 8 + 2 = max(10, 6)
     for k in (0, 3):
         assert g2.tau(sup.id, k) >= g.tau(1, k) - TOL
         assert g2.tau(sup.id, k) >= g.tau(2, k) - TOL
@@ -386,6 +387,10 @@ def test_coarsen_structure_replay(propagation):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(6, 60),
        propagation=st.sampled_from(PROPAGATION_MODES))
+# the depot, super-node 35 and its member 22 are collinear: without the
+# round-up of the sum, tau(0, 35) was 46.09772228646443, the member distance
+# 46.09772228646444
+@example(seed=3447, n=29, propagation="conservative")
 def test_coarse_travel_times_follow_positions_or_members(seed, n, propagation):
     g = Graph.from_instance(gen.random_instance(seed, n, family="mixed", horizon=1000.0))
     trace = []
@@ -399,11 +404,16 @@ def test_coarse_travel_times_follow_positions_or_members(seed, n, propagation):
         for b in ids[k + 1:]:
             na, nb = cg.node(a), cg.node(b)
             if propagation == "relaxed":
-                expected = travel_time(na, nb)
+                assert cg.tau(a, b) == travel_time(na, nb), (a, b)
             else:
-                expected = max(travel_time(g.node(x), g.node(y))
-                               for x in na.members for y in nb.members)
-            assert cg.tau(a, b) == expected, (a, b)
+                # the distance plus both covering radii, rounded up by one
+                # ulp unless both are 0: an upper bound over every
+                # member-to-member distance, with no tolerance
+                r = na.radius + nb.radius
+                d = travel_time(na, nb)
+                assert cg.tau(a, b) == (math.nextafter(d + r, math.inf) if r else d), (a, b)
+                assert all(cg.tau(a, b) >= travel_time(g.node(x), g.node(y))
+                           for x in na.members for y in nb.members), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +447,8 @@ weights = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(0, 2))
 @st.composite
 def scan_graphs(draw):
     """A graph of up to 30 customers and its mode: optionally a few pairs are
-    contracted first, so super-nodes and worst-case (conservative) travel
-    times are scanned too."""
+    contracted first, so super-nodes and (conservative) travel times with
+    covering radii are scanned too."""
     n = draw(st.integers(2, 30))
     points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
     windows = draw(st.lists(st.tuples(st.integers(0, 500), st.integers(0, 300),
@@ -451,6 +461,50 @@ def scan_graphs(draw):
               for i, j in zip(ids[:k], ids[k:2 * k])]
     graph, _ = graph.contract(merges, conservative)
     return graph, conservative
+
+
+@st.composite
+def conservative_rounds(draw):
+    """(original graph, its conservative contraction after 1-4 rounds of
+    random disjoint merges), so later rounds merge super-nodes and every
+    radius carries rounding. The points are scaled floats, or lie on one
+    line through the depot, where the depot, a node and its farthest member
+    are collinear and the bound holds with equality."""
+    n = draw(st.integers(2, 24))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e3, 1e6]))
+    if draw(st.booleans()):
+        dx, dy = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        steps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+        points = [(k * dx * scale, k * dy * scale) for k in steps]
+    else:
+        point = coordinate.map(lambda v: v * scale)
+        points = draw(st.lists(st.tuples(point, point), min_size=n, max_size=n))
+    original = _graph_of(points, [(0, 900, 0)] * n)
+    graph = original
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(st.permutations(graph.customer_ids()))
+        k = draw(st.integers(0, len(ids) // 2))
+        merges = [(i, j, (i, j), (0.0, 900.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
+        graph, _ = graph.contract(merges, conservative=True)
+    return original, graph
+
+
+# no shrinking: a shortfall is a rare last-bit event, and shrinking towards
+# one ran for minutes and grew to hundreds of MB; the failing pair is printed
+@settings(max_examples=300, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(conservative_rounds())
+def test_conservative_tau_never_falls_below_the_member_maximum(case):
+    original, graph = case
+    ids = [0, *graph.customer_ids()]
+    for k, a in enumerate(ids):
+        na = graph.node(a)
+        for b, tau in zip(ids[k + 1:], graph.taus(a, ids[k + 1:])):
+            nb = graph.node(b)
+            exact = max(travel_time(original.node(x), original.node(y))
+                        for x in na.members for y in nb.members)
+            assert tau == graph.tau(a, b) == graph.tau(b, a)
+            assert tau >= exact, (a, b, tau, exact)
 
 
 @st.composite

@@ -27,7 +27,7 @@ COARSEN_DIGESTS = {
     "relaxed":
         "0719d09bbe99253af0cd30d2086bfe48b12fd091f12ce475812920c23db843bf",
     "conservative":
-        "487ef4a2dba3dd328c30f0759f89fa6eaa1debcd95105fb4247bd93e601d078b",
+        "2efaf48fae0b5edfc829c61b7f0fdfb5356a451f1f66f65322a0a12ed6f1e816",
 }
 
 PIPELINE_DIGESTS = {
@@ -36,13 +36,13 @@ PIPELINE_DIGESTS = {
     ("relaxed", "savings"):
         "84f58b5c6af1d8f7e74f66528716119c7d80db1edb2d6b1dbb9ac41167bb5bc3",
     ("conservative", "greedy"):
-        "5d2de84d9173eedf3941bf882c9cc957e5ebe392f6a639b23419951b2d93d5e6",
+        "b7b422876fcd69cabd5491880bebfac4440e5921b77ffdb5cac17caf24b798d6",
     ("conservative", "savings"):
-        "1ff8695d86a0e0a4440d04b1dcd284f2d7557ddd7ad4c1d2843faa2c66511cd5",
+        "2cd5161a59a53f2c073511d07f6a14ca989e41743f015cfdf4076f12bf6a1e7a",
 }
 
 CLI_DEFAULTS_CONSERVATIVE_DIGEST = (
-    "8e0c3e3131bc1ede1c08a32616e45f85e23083b8eb0a98e1df1b6c86a6cbafb5")
+    "2132a382e34e65e19cc5db2488c2910c687ed65e240c913c9eff0b11f4d9cf68")
 
 
 def _params(propagation):

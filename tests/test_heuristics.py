@@ -259,8 +259,8 @@ def reference_savings_solve(graph, capacity):
        propagation=st.sampled_from(PROPAGATION_MODES))
 def test_savings_equals_reference(inst, alpha, radius, propagation):
     # fractional coordinates, windows, service times and demands, with late
-    # stops and late depot returns; the conservative coarse graph takes its
-    # super-nodes' travel times from their members
+    # stops and late depot returns; the conservative coarse graph adds its
+    # super-nodes' covering radii to their travel times
     g = Graph.from_instance(inst)
     coarse, _ = coarsen(g, CoarseningParams(alpha=alpha, beta=1 - alpha, p_target=0.3,
                                             radius_coeff=radius, propagation=propagation))
@@ -324,8 +324,8 @@ def reference_greedy_solve(graph, capacity):
        propagation=st.sampled_from(PROPAGATION_MODES))
 def test_greedy_equals_reference(inst, alpha, radius, propagation):
     # on the integer grid [0, 4]² many legs are equal, so the lower-id rule decides;
-    # the conservative coarse graph takes its super-nodes' travel times
-    # from their members
+    # the conservative coarse graph adds its super-nodes' covering radii to
+    # their travel times
     g = Graph.from_instance(inst)
     coarse, _ = coarsen(g, CoarseningParams(alpha=alpha, beta=1 - alpha, p_target=0.3,
                                             radius_coeff=radius, propagation=propagation))
