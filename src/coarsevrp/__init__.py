@@ -8,7 +8,7 @@ and score.
 
 from .coarsening import CoarseningParams, MergeRecord, coarsen
 from .evaluation import Metrics, evaluate, objective_score
-from .graph import CoarseNode, Graph, Route, recompute_schedule, travel_time
+from .graph import CoarseNode, Graph, Route, recompute_schedule
 from .heuristics import Solution, brute_force_optimal, greedy_solve, savings_solve
 from .inflation import inflate, light_postprocess
 from .instances import Customer, Instance, load_instance, parse_solomon, write_solomon
@@ -22,5 +22,5 @@ __all__ = [
     "SearchSpace", "Solution", "TrialResult", "brute_force_optimal", "coarsen",
     "evaluate", "greedy_solve", "inflate", "light_postprocess", "load_instance",
     "objective_score", "parse_solomon", "random_search", "recompute_schedule",
-    "run_baseline", "run_pipeline", "savings_solve", "travel_time", "write_solomon",
+    "run_baseline", "run_pipeline", "savings_solve", "write_solomon",
 ]

@@ -136,7 +136,9 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # ---------------------------------------------------------------------------
 # merging
 
-# Why the sweep in `candidate_pairs` drops no candidate. A candidate has
+# Why the sweep in `coarsen` drops no candidate. The customers are sorted on
+# one axis (_sorted_rows), and each is weighed only against the ones after it
+# within one window on that axis (_window_ends, _weigh). A candidate has
 # alpha*tau <= rho and beta*|dt| <= rho (both terms of its weight are >= 0),
 # and tau >= the distance between the two positions: midpoint tau is that
 # distance, and conservative tau adds the two nodes' covering radii to it.
@@ -183,10 +185,12 @@ def _window_ends(keys, weight: float, radius: float, starts):
 
 def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, ends):
     """Weigh each row against rows[start:end]; returns the pairs (w, i, j),
-    i < j, with w <= rho, unsorted, and the number of pairs weighed from
-    positions. In a conservative graph the pairs kept are weighed again
-    with Graph.tau, which adds the two covering radii, as candidate_pairs
-    says; O(1) a pair."""
+    i < j, with weight w = alpha*tau + beta*|t_i - t_j| <= rho (st_distance
+    in nominal mode), unsorted, and the number of pairs weighed from
+    positions. The weight from the two positions is exact unless the graph
+    is conservative, whose travel times add the two nodes' covering radii;
+    then it is a lower bound, so only then are the pairs it keeps weighed
+    again with Graph.tau. O(1) a pair."""
     alpha, beta, hypot = params.alpha, params.beta, math.hypot
     pairs = [(w, i, j) if i < j else (w, j, i)
              for (ax, ay, at, i), lo, hi in zip(rows, starts, ends)
@@ -198,32 +202,6 @@ def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, end
                  if (w := alpha * tau(i, j)
                      + beta * abs(node(i).nominal_t - node(j).nominal_t)) <= rho]
     return pairs, sum(ends) - sum(starts)
-
-
-def candidate_pairs(graph: Graph, params: CoarseningParams, rho: float):
-    """Customer pairs (w, i, j), i < j, with weight w = alpha*tau +
-    beta*|t_i - t_j| <= rho (st_distance in nominal mode), sorted; none when
-    rho is 0.
-
-    Each customer becomes one (x, y, nominal_t, id) row. The rows are sorted
-    on one axis, x, y or nominal time, whichever window (rho/alpha or
-    rho/beta) covers the smallest share of its values' spread, and each row
-    is weighed against the rows after it that lie within one window: one
-    ring over the full window, so every pair in it is weighed once. The
-    pruning is exact (see _WINDOW_MARGIN), and a call costs
-    O(n log n + pairs in the window). A pair is weighed from the two
-    positions. That weight is exact unless the graph is conservative
-    (Graph.conservative), whose travel times add the two nodes' covering
-    radii; then it is a lower bound, so only then are the pairs it keeps
-    weighed again with Graph.tau. Returns (candidates,
-    pairs_scanned), the latter counting the pairs weighed from positions.
-    """
-    rows, keys, weight = _sorted_rows(graph, params, rho)
-    starts = range(1, len(rows) + 1)
-    candidates, scanned = _weigh(graph, params, rho, rows, starts,
-                                 _window_ends(keys, weight, rho, starts))
-    candidates.sort()
-    return candidates, scanned
 
 
 def _match(graph: Graph, params: CoarseningParams, pairs, used: set, merges: list):
@@ -251,16 +229,17 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     rho in order of spatio-temporal distance, then applies every matched
     merge. The matching takes each node once and never the depot, and skips
     infeasible orders and empty conservative windows. It runs in two rings
-    over the customers sorted on one axis, as in candidate_pairs. Ring 1
-    weighs each customer against the next ones within the window of rho/2
-    and matches the pairs of weight <= rho/2, all of which lie in that
-    window (see _WINDOW_MARGIN). Ring 2 weighs the outer half of the window,
-    only between customers still unmatched, and matches those pairs together
-    with ring 1's pairs of weight in (rho/2, rho] whose ends are both still
-    unmatched. Every pair is weighed at most once, and the merges are those
-    of one greedy pass over all pairs within rho in (w, i, j) order: a pair
-    with a matched end would have been skipped. A round costs
-    O(n log n + pairs in the window).
+    over the customers sorted on the axis whose window of rho covers the
+    smallest share of its spread (_sorted_rows), a sweep that drops no pair
+    within rho (see _WINDOW_MARGIN). Ring 1 weighs each customer against the
+    next ones within the window of rho/2 and matches the pairs of weight
+    <= rho/2, all of which lie in that window. Ring 2 weighs the outer half
+    of the window, only between customers still unmatched, and matches those
+    pairs together with ring 1's pairs of weight in (rho/2, rho] whose ends
+    are both still unmatched. Every pair is weighed at most once, and the
+    merges are those of one greedy pass over all pairs within rho in
+    (w, i, j) order: a pair with a matched end would have been skipped. A
+    round costs O(n log n + pairs in the window).
 
     propagation="relaxed" widens merged windows and measures travel from
     midpoints; "conservative" tightens them and contracts to a conservative

@@ -13,6 +13,10 @@ DEPOT_ID = 0
 
 @dataclass(frozen=True)
 class CoarseNode:
+    """A depot, customer or super-node of a Graph. A super-node stands for
+    the original customers its merge history expands to
+    (inflation.expansion_map), its members; it keeps their aggregate
+    attributes, not a list of them."""
     id: int
     kind: str           # "depot" | "customer" | "supernode"
     x: float
@@ -22,15 +26,9 @@ class CoarseNode:
     ready: float
     due: float
     nominal_t: float
-    members: tuple[int, ...]
     # no member lies farther than this from (x, y); 0 except for the
     # super-nodes of a conservative graph
-    radius: float = field(default=0.0, repr=False)
-
-
-def travel_time(a, b) -> float:
-    """Euclidean travel time between two point-like objects (unit speed)."""
-    return math.hypot(a.x - b.x, a.y - b.y)
+    radius: float = field(default=0.0, repr=False, kw_only=True)
 
 
 def nominal_visit_time(node) -> float:
@@ -71,10 +69,10 @@ class Graph:
         """One node per depot and customer; O(n), as no travel time is stored."""
         d = instance.depot
         nodes = {d.id: CoarseNode(d.id, "depot", d.x, d.y, 0.0, 0.0, d.ready, d.due,
-                                  nominal_visit_time(d), (d.id,))}
+                                  nominal_visit_time(d))}
         for c in instance.customers:
             nodes[c.id] = CoarseNode(c.id, "customer", c.x, c.y, c.demand, c.service,
-                                     c.ready, c.due, nominal_visit_time(c), (c.id,))
+                                     c.ready, c.due, nominal_visit_time(c))
         return cls(nodes, name=instance.name)
 
     def node(self, nid: int) -> CoarseNode:
@@ -128,6 +126,10 @@ class Graph:
         never promises more than the expanded route delivers. Once a graph
         holds a super-node, every later contraction must use the same mode.
 
+        A super-node does not list its children: the caller keeps each merge
+        (coarsen records it as a MergeRecord), and expansion_map expands a
+        super-node through those records alone.
+
         Nothing is stored for a travel time, so a call costs O(nodes).
         """
         if conservative != self.conservative and any(
@@ -159,9 +161,8 @@ class Graph:
             top += 1
             supers.append(CoarseNode(
                 id=top, kind="supernode", x=x, y=y,
-                demand=a.demand + b.demand, service=service,
+                demand=a.demand + b.demand, service=service, radius=radius,
                 ready=ready, due=due, nominal_t=(ready + due) / 2.0,
-                members=a.members + b.members, radius=radius,
             ))
         nodes.update((s.id, s) for s in supers)
         return Graph(nodes, self.name, conservative=conservative), supers
@@ -171,12 +172,6 @@ class Graph:
         xs = [n.x for n in self._nodes.values()]
         ys = [n.y for n in self._nodes.values()]
         return max(max(xs) - min(xs), max(ys) - min(ys))
-
-    def member_ids(self) -> list[int]:
-        out = []
-        for n in self.customers:
-            out.extend(n.members)
-        return sorted(out)
 
 
 @dataclass(frozen=True)

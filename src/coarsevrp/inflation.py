@@ -14,7 +14,12 @@ class InflationError(ValueError):
 
 
 def expansion_map(history: list[MergeRecord]) -> dict[int, list[int]]:
-    """{super_id: its original customers in recorded service order}."""
+    """{super_id: its original customers in recorded service order}.
+
+    The merge history is the one record of what a super-node stands for; no
+    node lists its customers. Each record names its two children in service
+    order, so a super-node expands to its first child's customers, then its
+    second's."""
     expand = {}
     for rec in history:   # oldest first: a nested child is already expanded
         expand[rec.super_id] = [s for c in rec.order for s in expand.get(c, (c,))]

@@ -54,8 +54,9 @@ def parse_solomon(text: str) -> Instance:
 
     Expected shape: a title line, a VEHICLE section with a NUMBER/CAPACITY
     pair, and a CUSTOMER table whose rows are
-    ``id x y demand ready due service`` with row 0 as the depot. A row of
-    numbers in that table that are not exactly seven raises InstanceError.
+    ``id x y demand ready due service`` with row 0 as the depot. A line of
+    that table that starts with a number is a row and must hold exactly
+    seven numbers, or InstanceError is raised; other lines are skipped.
     """
     lines = text.splitlines()
     stripped = [ln.strip() for ln in lines]
@@ -92,10 +93,11 @@ def parse_solomon(text: str) -> Instance:
     rows = []
     for ln in stripped[ci + 1:]:
         nums = _numbers(ln)
-        if nums:                        # header and blank lines have none
+        if nums or _numbers(ln.split(maxsplit=1)[0] if ln else ""):
+            # a row starts with a number; header and blank lines do not
             if len(nums) != 7:
-                raise InstanceError(f"{title}: CUSTOMER row {ln!r} has {len(nums)} "
-                                    f"numbers, expected 7")
+                got = f"{len(nums)} numbers" if nums else "a non-number"
+                raise InstanceError(f"{title}: CUSTOMER row {ln!r} has {got}, expected 7")
             if not nums[0].is_integer():
                 raise InstanceError(f"{title}: customer id {nums[0]} is not an integer")
             rows.append(Customer(int(nums[0]), nums[1], nums[2], nums[3],

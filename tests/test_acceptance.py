@@ -22,7 +22,7 @@ from coarsevrp.evaluation import Metrics, evaluate, objective_score
 from coarsevrp.graph import CoarseNode, Graph
 from coarsevrp.heuristics import (brute_force_optimal, greedy_solve,
                                   savings_solve, savings_value)
-from coarsevrp.inflation import inflate
+from coarsevrp.inflation import expansion_map, inflate
 from coarsevrp.instances import (read_solution, trial_row, write_solomon,
                                  write_trials_csv)
 from coarsevrp.report import build_report, format_report
@@ -64,8 +64,7 @@ def _sources(items):
 
 def _cnode(nid, ready, due, service=0.0, x=0.0, y=0.0):
     nominal = (ready + (due - service)) / 2.0
-    return CoarseNode(nid, "customer", x, y, 0.0, service, ready, due,
-                      nominal, (nid,))
+    return CoarseNode(nid, "customer", x, y, 0.0, service, ready, due, nominal)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def _replay_levels(graph, history, conservative):
     original_ids = set(graph.customer_ids())
     demand0 = sum(nd.demand for nd in graph.customers)
     service0 = sum(nd.service for nd in graph.customers)
-    for rec in history:
+    for k, rec in enumerate(history):
         first, second = rec.order
         fwd, _ = merge_feasibility(graph.node(first), graph.node(second),
                                    graph.tau(first, second))
@@ -252,7 +251,9 @@ def _replay_levels(graph, history, conservative):
         graph, (sup,) = graph.contract([(rec.left, rec.right, rec.order, rec.window)],
                                        conservative)
         assert sup.id == rec.super_id
-        assert sorted(graph.member_ids()) == sorted(original_ids), "partition broken"
+        expand = expansion_map(history[:k + 1])
+        assert sorted(s for c in graph.customer_ids()
+                      for s in expand.get(c, (c,))) == sorted(original_ids), "partition broken"
         assert abs(sum(nd.demand for nd in graph.customers) - demand0) < 1e-6
         if not conservative:
             assert abs(sum(nd.service for nd in graph.customers) - service0) < 1e-6

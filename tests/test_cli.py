@@ -105,6 +105,23 @@ def test_short_customer_row_is_validation_error(tmp_path, instance_file, capsys,
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "baseline"])
+def test_malformed_last_customer_row_is_validation_error(tmp_path, instance_file, capsys,
+                                                         command):
+    # a last row that fails to parse once read as a header, and the file
+    # loaded as one customer short, with no gap in the ids
+    lines = instance_file.read_text().rstrip("\n").splitlines()
+    cols = lines[-1].split()
+    cols[1] = "18x"                                   # the x coordinate
+    lines[-1] = "   ".join(cols)
+    bad = tmp_path / "malformed.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main([command, str(bad), "-o", str(tmp_path / "out.json")])
+    assert rc == 2
+    assert "non-number" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("flags", [["--alpha", "nan"], ["--beta", "nan"],
                                    ["--radius", "nan"], ["--alpha", "inf"],
                                    ["--radius", "inf"]])

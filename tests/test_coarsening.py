@@ -6,11 +6,12 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeRecord,
-                                  aggregate_window, candidate_pairs, choose_direction,
-                                  coarsen, merge_feasibility, merge_slack,
-                                  radius_threshold, st_distance,
+                                  _sorted_rows, _weigh, _window_ends, aggregate_window,
+                                  choose_direction, coarsen, merge_feasibility,
+                                  merge_slack, radius_threshold, st_distance,
                                   temporal_separation)
-from coarsevrp.graph import CoarseNode, Graph, travel_time
+from coarsevrp.graph import CoarseNode, Graph
+from coarsevrp.inflation import expansion_map
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -21,8 +22,7 @@ TOL = 1e-9
 def cnode(nid, ready, due, service=0.0, nominal=None, x=0.0, y=0.0, demand=0.0):
     if nominal is None:
         nominal = (ready + (due - service)) / 2.0
-    return CoarseNode(nid, "customer", x, y, demand, service, ready, due,
-                      nominal, (nid,))
+    return CoarseNode(nid, "customer", x, y, demand, service, ready, due, nominal)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,6 @@ def test_contract_midpoint_attributes():
     assert (sup.x, sup.y) == (2.0, 0.0)
     assert abs(sup.demand - 30.0) < TOL
     assert abs(sup.service - 12.0) < TOL
-    assert sup.members == (1, 2)
     assert sup.kind == "supernode"
     assert abs(sup.nominal_t - (window[0] + window[1]) / 2) < TOL
     assert abs(g2.tau(sup.id, 3) - 8.0) < TOL          # midpoint (2,0) to (10,0)
@@ -227,12 +226,6 @@ def test_merge_pair_rejects_bad_order():
     g = _three_node_graph()
     with pytest.raises(ValueError):
         g.contract([(1, 2, (1, 3), (0.0, 10.0))])
-
-
-def test_contract_order_respected_in_members():
-    g = _three_node_graph()
-    g2, (sup,) = g.contract([(1, 2, (2, 1), (0.0, 500.0))])
-    assert sup.members == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +258,7 @@ def test_coarsen_unit_square_two_supers():
     assert [r.super_id for r in hist] == [5, 6]
     assert trace[0]["merges_applied"] == 2
     assert trace[0]["stop"] == "target"
-    assert sorted(g2.node(5).members + g2.node(6).members) == [1, 2, 3, 4]
+    assert expansion_map(hist) == {5: [1, 2], 6: [3, 4]}
 
 
 def test_coarsen_halts_on_conservative_veto():
@@ -339,7 +332,7 @@ def _replay(graph, history, conservative):
     original_ids = set(graph.customer_ids())
     demand0 = sum(n.demand for n in graph.customers)
     service0 = sum(n.service for n in graph.customers)
-    for rec in history:
+    for k, rec in enumerate(history):
         first, second = rec.order
         ni, nj = graph.node(first), graph.node(second)
         fwd, _ = merge_feasibility(ni, nj, graph.tau(first, second))
@@ -347,7 +340,10 @@ def _replay(graph, history, conservative):
         graph, (sup,) = graph.contract([(rec.left, rec.right, rec.order, rec.window)],
                                        conservative)
         assert sup.id == rec.super_id
-        members = sorted(graph.member_ids())
+        # the history so far expands the graph's customers to every original
+        # customer exactly once
+        expand = expansion_map(history[:k + 1])
+        members = sorted(s for c in graph.customer_ids() for s in expand.get(c, (c,)))
         assert members == sorted(original_ids), "member partition broken"
         assert abs(sum(n.demand for n in graph.customers) - demand0) < 1e-6
         if not conservative:
@@ -394,30 +390,43 @@ def test_coarsen_structure_replay(propagation):
 def test_coarse_travel_times_follow_positions_or_members(seed, n, propagation):
     g = Graph.from_instance(gen.random_instance(seed, n, family="mixed", horizon=1000.0))
     trace = []
-    cg, _ = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.1, radius_coeff=4.0,
-                                        propagation=propagation),
-                    trace=trace)
+    cg, hist = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.1,
+                                           radius_coeff=4.0, propagation=propagation),
+                       trace=trace)
     # two merging rounds, so the second contracts a graph that holds super-nodes
     assume(sum(r["merges_applied"] > 0 for r in trace) >= 2)
+    expand = expansion_map(hist)
     ids = [0, *cg.customer_ids()]
     for k, a in enumerate(ids):
         for b in ids[k + 1:]:
             na, nb = cg.node(a), cg.node(b)
+            d = math.hypot(na.x - nb.x, na.y - nb.y)
             if propagation == "relaxed":
-                assert cg.tau(a, b) == travel_time(na, nb), (a, b)
+                assert cg.tau(a, b) == d, (a, b)
             else:
                 # the distance plus both covering radii, rounded up by one
                 # ulp unless both are 0: an upper bound over every
                 # member-to-member distance, with no tolerance
                 r = na.radius + nb.radius
-                d = travel_time(na, nb)
                 assert cg.tau(a, b) == (math.nextafter(d + r, math.inf) if r else d), (a, b)
-                assert all(cg.tau(a, b) >= travel_time(g.node(x), g.node(y))
-                           for x in na.members for y in nb.members), (a, b)
+                assert all(cg.tau(a, b) >= g.tau(x, y) for x in expand.get(a, (a,))
+                           for y in expand.get(b, (b,))), (a, b)
 
 
 # ---------------------------------------------------------------------------
 # sweep-pruned candidate scan (property tests)
+
+def candidate_pairs(graph, params, rho):
+    """The sweep of coarsen in one ring: each customer weighed against every
+    one after it within the full window of rho on the sorted axis. Returns
+    the pairs (w, i, j), i < j, with w <= rho, sorted, and the number of
+    pairs weighed from positions."""
+    rows, keys, weight = _sorted_rows(graph, params, rho)
+    starts = range(1, len(rows) + 1)
+    candidates, scanned = _weigh(graph, params, rho, rows, starts,
+                                 _window_ends(keys, weight, rho, starts))
+    return sorted(candidates), scanned
+
 
 def _full_scan(graph, params, rho):
     """Every customer pair weighed, the way coarsen ranked them before pruning."""
@@ -466,10 +475,11 @@ def scan_graphs(draw):
 @st.composite
 def conservative_rounds(draw):
     """(original graph, its conservative contraction after 1-4 rounds of
-    random disjoint merges), so later rounds merge super-nodes and every
-    radius carries rounding. The points are scaled floats, or lie on one
-    line through the depot, where the depot, a node and its farthest member
-    are collinear and the bound holds with equality."""
+    random disjoint merges, {node id: the original ids it stands for}), so
+    later rounds merge super-nodes and every radius carries rounding. The
+    points are scaled floats, or lie on one line through the depot, where
+    the depot, a node and its farthest member are collinear and the bound
+    holds with equality."""
     n = draw(st.integers(2, 24))
     scale = draw(st.sampled_from([1.0, 1e-3, 1e3, 1e6]))
     if draw(st.booleans()):
@@ -481,12 +491,15 @@ def conservative_rounds(draw):
         points = draw(st.lists(st.tuples(point, point), min_size=n, max_size=n))
     original = _graph_of(points, [(0, 900, 0)] * n)
     graph = original
+    members = {i: (i,) for i in (0, *original.customer_ids())}
     for _ in range(draw(st.integers(1, 4))):
         ids = draw(st.permutations(graph.customer_ids()))
         k = draw(st.integers(0, len(ids) // 2))
         merges = [(i, j, (i, j), (0.0, 900.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
-        graph, _ = graph.contract(merges, conservative=True)
-    return original, graph
+        graph, supers = graph.contract(merges, conservative=True)
+        for sup, (i, j, _, _) in zip(supers, merges):
+            members[sup.id] = members[i] + members[j]
+    return original, graph, members
 
 
 # no shrinking: a shortfall is a rare last-bit event, and shrinking towards
@@ -495,14 +508,11 @@ def conservative_rounds(draw):
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(conservative_rounds())
 def test_conservative_tau_never_falls_below_the_member_maximum(case):
-    original, graph = case
+    original, graph, members = case
     ids = [0, *graph.customer_ids()]
     for k, a in enumerate(ids):
-        na = graph.node(a)
         for b, tau in zip(ids[k + 1:], graph.taus(a, ids[k + 1:])):
-            nb = graph.node(b)
-            exact = max(travel_time(original.node(x), original.node(y))
-                        for x in na.members for y in nb.members)
+            exact = max(original.tau(x, y) for x in members[a] for y in members[b])
             assert tau == graph.tau(a, b) == graph.tau(b, a)
             assert tau >= exact, (a, b, tau, exact)
 

@@ -25,9 +25,9 @@ COARSEN_CASES = [(301, 40, "clustered"), (302, 70, "random"), (303, 90, "mixed")
 
 COARSEN_DIGESTS = {
     "relaxed":
-        "0719d09bbe99253af0cd30d2086bfe48b12fd091f12ce475812920c23db843bf",
+        "9acd3ebdf5e251caef402c4decb29ae967d45b97dbe7f89ede63db7301116a0f",
     "conservative":
-        "2efaf48fae0b5edfc829c61b7f0fdfb5356a451f1f66f65322a0a12ed6f1e816",
+        "accd426689177ae3314812a37349ba6df6fc7e0835bccf12b48b8bc457077333",
 }
 
 PIPELINE_DIGESTS = {

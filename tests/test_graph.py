@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsevrp.graph import (CoarseNode, Graph, nominal_visit_time, recompute_schedule,
-                             travel_time)
+from coarsevrp.graph import CoarseNode, Graph, nominal_visit_time, recompute_schedule
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -17,8 +16,14 @@ TOL = 1e-9
 def node(nid, x, y, demand=0, service=0, ready=0, due=1000, kind="customer"):
     return CoarseNode(nid, kind, x, y, demand, service, ready, due,
                       nominal_visit_time
-                      (Customer(nid, x, y, demand, ready, due, service)),
-                      (nid,))
+                      (Customer(nid, x, y, demand, ready, due, service)))
+
+
+def test_radius_is_keyword_only():
+    # a tenth positional argument, the old member tuple, is not taken as the radius
+    with pytest.raises(TypeError):
+        CoarseNode(1, "customer", 0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 5.0, (1,))
+    assert node(1, 0, 0).radius == 0.0
 
 
 def two_point_instance(cx, cy, ready, due, service, horizon=1000.0):
@@ -28,11 +33,11 @@ def two_point_instance(cx, cy, ready, due, service, horizon=1000.0):
 
 
 def test_travel_time_values():
-    a, b = node(1, 0, 0), node(2, 3, 4)
-    assert abs(travel_time(a, b) - 5.0) < TOL
-    assert travel_time(a, a) == 0.0
-    c = node(3, 1, 1)
-    assert abs(travel_time(a, c) - math.sqrt(2)) < TOL
+    g = Graph({0: node(0, 0, 0, kind="depot"), 1: node(1, 3, 4), 2: node(2, 1, 1)})
+    assert abs(g.tau(0, 1) - 5.0) < TOL
+    assert g.tau(0, 0) == 0.0
+    assert abs(g.tau(0, 2) - math.sqrt(2)) < TOL
+    assert g.taus(0, [1, 0, 2]) == [g.tau(0, 1), g.tau(0, 0), g.tau(0, 2)]
 
 
 def test_nominal_visit_time_midpoint_and_earliest():
@@ -95,10 +100,10 @@ def test_graph_from_instance_tau_symmetric():
         for j in ids:
             assert abs(g.tau(i, j) - g.tau(j, i)) < TOL
             if i != j:
-                assert abs(g.tau(i, j) -
-                           travel_time(g.node(i), g.node(j))) < TOL
+                a, b = g.node(i), g.node(j)
+                assert abs(g.tau(i, j) - math.hypot(a.x - b.x, a.y - b.y)) < TOL
     assert g.customer_count == 12
-    assert g.member_ids() == list(range(1, 13))
+    assert g.customer_ids() == list(range(1, 13))
 
 
 def test_schedule_monotone_in_departure():

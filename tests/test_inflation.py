@@ -237,7 +237,7 @@ def test_postprocess_equals_reference(inst, radius, propagation, solver):
 
 
 # ---------------------------------------------------------------------------
-# coarse members against the merge history
+# the merge history against the coarse graph
 
 # each id names the mode's travel times, then its windows
 @pytest.mark.parametrize("propagation", [pytest.param("relaxed", id="midpoint-relaxed"),
@@ -246,13 +246,14 @@ def test_postprocess_equals_reference(inst, radius, propagation, solver):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 60),
        radius=st.sampled_from([1.0, 4.0, 8.0]), p=st.sampled_from([0.1, 0.5]))
-def test_members_are_the_expansion_of_the_merge_history(propagation, seed, n, radius, p):
+def test_the_history_expansion_partitions_the_customers(propagation, seed, n, radius, p):
     g = Graph.from_instance(gen.random_instance(seed, n, family="mixed", horizon=1000.0))
     cg, hist = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=p,
                                            radius_coeff=radius, propagation=propagation))
     expand = expansion_map(hist)            # the map inflate expands through
     assert set(expand) == {rec.super_id for rec in hist}
-    for node in cg.customers:
-        assert list(node.members) == expand.get(node.id, [node.id])
-    assert sorted(m for node in cg.customers for m in node.members) == g.customer_ids()
+    members = [expand.get(node.id, [node.id]) for node in cg.customers]
+    assert sorted(m for ms in members for m in ms) == g.customer_ids()
+    for node, ms in zip(cg.customers, members):
+        assert node.demand == pytest.approx(sum(g.node(m).demand for m in ms))
 

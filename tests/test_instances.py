@@ -76,7 +76,8 @@ def test_parse_rejects_bad_rows():
     ("    1      nan        68", "non-finite"),
     ("    1      45         inf", "non-finite"),
     ("    1.9    45         68", "customer id 1.9"),
-], ids=["nan", "inf", "id-1.9"])
+    ("    1      45x        68", "non-number, expected 7"),
+], ids=["nan", "inf", "id-1.9", "non-number"])
 def test_parse_rejects_poisoned_customer_rows(bad, match):
     with pytest.raises(InstanceError, match=match):
         parse_solomon(SOLOMON_TOY.replace("    1      45         68", bad))
