@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 parse/validation problem, 3 I/O problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -73,28 +74,31 @@ def _space_from(args) -> SearchSpace:
             raise DocumentError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DocumentError("config must be a JSON object")
-    fields = {"alphas": float, "betas": float, "ps": float,
-              "radius_coeffs": float, "solvers": str}
-    unknown = [k for k in cfg if k not in fields]
+    space = SearchSpace()
+    unknown = [k for k in cfg if k not in vars(space)]
     if unknown:
         raise DocumentError(f"unknown config keys: {', '.join(unknown)} "
-                            f"(known: {', '.join(fields)})")
-    space = SearchSpace()
+                            f"(known: {', '.join(vars(space))})")
     values = {}
-    for name, cast in fields.items():
-        flag = getattr(args, name, None)
+    for name, default in vars(space).items():
+        cast = type(default[0])                # float, or str for solvers
+        flag = getattr(args, name)
         if flag is not None:                   # CLI flag wins
             raw = flag.split(",") if flag else []
         elif name in cfg:
             raw = cfg[name]
         else:
-            values[name] = getattr(space, name)
+            values[name] = default
             continue
         if not isinstance(raw, list) or not raw:
             raise DocumentError(f"{name} must be a non-empty list")
         try:
+            if flag is None:           # a config value is a JSON number, or a string for solvers
+                for v in raw:
+                    if isinstance(v, bool) or isinstance(v, str) != (cast is str):
+                        raise TypeError(f"{v!r} is not a {cast.__name__}")
             values[name] = tuple(cast(v) for v in raw)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DocumentError(f"{name}: {exc}") from exc
     return SearchSpace(**values)
 
@@ -151,24 +155,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coarsevrp",
                                      description="Coarsen-solve-inflate toolkit for CVRPTW.")
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = CoarseningParams()
 
     def add_instance(p):
         p.add_argument("instance", help="Solomon-format instance file")
 
     def add_propagation(p):
-        p.add_argument("--propagation", choices=PROPAGATION_MODES, default="relaxed",
+        p.add_argument("--propagation", choices=PROPAGATION_MODES, default=defaults.propagation,
                        help="relaxed widens merged time windows; conservative tightens "
                             "them and uses travel times that are an upper bound over the "
                             "members, so a coarse route with no late stop expands to one "
-                            "with none (default: relaxed)")
+                            "with none (default: %(default)s)")
+
+    def add_solver(p):
+        p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
 
     p = sub.add_parser("solve", help="coarsen, solve, inflate one instance")
     add_instance(p)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
+    p.add_argument("--alpha", type=float, default=defaults.alpha)
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--p", type=float, default=defaults.p_target)
+    p.add_argument("--radius", type=float, default=defaults.radius_coeff)
+    add_solver(p)
     add_propagation(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
@@ -176,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="solve the uncoarsened instance")
     add_instance(p)
-    p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
+    add_solver(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
     p.set_defaults(fn=cmd_baseline)
@@ -188,11 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     add_propagation(p)
     p.add_argument("--config", help="JSON file with the search space")
-    p.add_argument("--alphas", help="comma-separated override")
-    p.add_argument("--betas", help="comma-separated override")
-    p.add_argument("--ps", help="comma-separated override")
-    p.add_argument("--radius-coeffs", dest="radius_coeffs", help="comma-separated override")
-    p.add_argument("--solvers", help="comma-separated override")
+    for f in dataclasses.fields(SearchSpace):
+        p.add_argument("--" + f.name.replace("_", "-"), help="comma-separated override")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_tune)
 

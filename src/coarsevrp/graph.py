@@ -46,22 +46,21 @@ class Graph:
     under DEPOT_ID, and the customers and super-nodes follow.
 
     Every travel time is computed from the two nodes, none is stored: the
-    distance between their positions, plus, when the graph is conservative,
-    both nodes' covering radii. No member lies farther from its node's
-    position than the node's radius, so by the triangle inequality that sum
-    is at least the distance between any member of one and any member of the
-    other: an upper bound over the customers the pair stands for. When a
+    distance between their positions, plus, when the graph is conservative
+    (some node has a radius), both nodes' covering radii. No member lies
+    farther from its node's position than the node's radius, so by the triangle
+    inequality that sum is at least the distance between any member of one and
+    any member of the other: an upper bound over the pair's members. When a
     radius is not 0 the sum is rounded up by one ulp, as the bound holds with
     equality for collinear points and a rounded-down sum would fall below it.
     """
 
-    def __init__(self, nodes: dict[int, CoarseNode], name: str = "graph", *,
-                 conservative: bool = False):
+    def __init__(self, nodes: dict[int, CoarseNode], name: str = "graph"):
         if next(iter(nodes), None) != DEPOT_ID:
             raise ValueError("the first node must be the depot, id 0")
         self.depot = nodes[DEPOT_ID]
         self._nodes = nodes
-        self.conservative = conservative
+        self.conservative = any(n.radius for n in nodes.values())
         self.name = name
 
     @classmethod
@@ -120,11 +119,11 @@ class Graph:
         are measured from the midpoint. With conservative=True the internal
         leg joins the service time (s_first + tau_ij + s_second), the
         super-node gets the covering radius max(r_a + |a - c|, r_b + |b - c|)
-        around its midpoint c, rounded up by one ulp, and the new graph is
-        conservative: travel between nodes adds both radii to the distance
-        (see Graph), an upper bound over their members, so a coarse schedule
-        never promises more than the expanded route delivers. Once a graph
-        holds a super-node, every later contraction must use the same mode.
+        around its midpoint c, rounded up by one ulp. The new graph then
+        carries radii, so it is conservative: travel adds both radii to the
+        distance (see Graph), an upper bound over the members, so a coarse
+        schedule never promises more than the expanded route delivers. Once a
+        graph holds a super-node, later contractions must use its mode.
 
         A super-node does not list its children: the caller keeps each merge
         (coarsen records it as a MergeRecord), and expansion_map expands a
@@ -165,7 +164,7 @@ class Graph:
                 ready=ready, due=due, nominal_t=(ready + due) / 2.0,
             ))
         nodes.update((s.id, s) for s in supers)
-        return Graph(nodes, self.name, conservative=conservative), supers
+        return Graph(nodes, self.name), supers
 
     def extent(self) -> float:
         """Largest bounding-box dimension over every node, depot included."""

@@ -134,6 +134,16 @@ def _validate(name, vehicle_count, capacity, depot, customers):
         raise InstanceError(f"{name}: depot window is empty")
     if seen != set(range(1, len(customers) + 1)):
         raise InstanceError(f"{name}: customer ids must be 1..n without gaps")
+    # every travel time is at most 3 diagonals (with covering radii), so this
+    # bounds every schedule time and every metric sum: all must stay finite
+    rows = (depot, *customers)
+    diagonal = math.hypot(max(r.x for r in rows) - min(r.x for r in rows),
+                          max(r.y for r in rows) - min(r.y for r in rows))
+    times = max(max(abs(r.ready), abs(r.due)) for r in rows)
+    service = sum(r.service for r in rows)
+    if not math.isfinite(len(rows) * (times + service + 8 * len(rows) * diagonal)):
+        raise InstanceError(f"{name}: coordinates and times are too large for travel "
+                            f"times, schedules and their sums to stay finite")
 
 
 def load_instance(path: str | Path) -> Instance:

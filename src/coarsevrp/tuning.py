@@ -31,7 +31,7 @@ class SearchSpace:
     betas: tuple[float, ...] = (0.1, 0.5, 0.9)
     ps: tuple[float, ...] = (0.3, 0.5, 0.7)
     radius_coeffs: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
-    solvers: tuple[str, ...] = ("greedy", "savings")
+    solvers: tuple[str, ...] = tuple(SOLVERS)
 
     def __post_init__(self):
         for name, values in vars(self).items():
@@ -189,9 +189,7 @@ def run_trial(instance: Instance, space: SearchSpace, seed: int, index: int,
                        p=params.p_target, radius_coeff=params.radius_coeff,
                        propagation=params.propagation, solver=solver,
                        coarse_metrics=out.coarse_metrics, metrics=out.metrics,
-                       score=out.score, coarsen_ms=out.timings["coarsen_ms"],
-                       solve_ms=out.timings["solve_ms"],
-                       inflate_ms=out.timings["inflate_ms"],
+                       score=out.score, **out.timings,
                        stops=tuple(tuple(r.stops) for r in out.solution.routes))
 
 

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,12 +14,12 @@ from xml.dom import minidom
 import pytest
 
 import coarsevrp
-from coarsevrp.cli import main
+from coarsevrp.cli import build_parser, main
 from coarsevrp.coarsening import CoarseningParams
 from coarsevrp.instances import (build_solution_document, load_instance, read_solution,
                                  write_solomon)
 from coarsevrp.report import REFERENCE_IMPROVEMENTS
-from coarsevrp.tuning import run_pipeline
+from coarsevrp.tuning import SearchSpace, run_pipeline
 
 import gen
 
@@ -57,6 +59,19 @@ def test_solve_bad_instance_is_validation_error(tmp_path, capsys):
     bad.write_text("junk\nwith no sections\n")
     rc = main(["solve", str(bad)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline"])
+def test_overflowing_instance_is_validation_error(tmp_path, capsys, command):
+    # every number is finite, but the distance between customers 1 and 2 is not
+    path = tmp_path / "overflow.txt"
+    path.write_text("OVERFLOW\n\nVEHICLE\nNUMBER CAPACITY\n25 100\n\nCUSTOMER\n"
+                    "0 0 0 0 0 1e300 0\n1 1e308 0 10 0 1e300 0\n"
+                    "2 -1e308 0 10 0 1e300 0\n3 5 5 10 0 100 0\n")
+    out = tmp_path / "out.json"
+    assert main([command, str(path), "-o", str(out)]) == 2
+    assert "too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_non_integer_vehicle_count_is_validation_error(tmp_path, instance_file, capsys):
@@ -340,6 +355,19 @@ def test_tune_config_file_and_overrides(tmp_path, instance_file):
     assert all(r["solver"] == "greedy" for r in trials)
 
 
+def test_parser_defaults_come_from_coarsening_params_and_search_space():
+    parser = build_parser()
+    args = parser.parse_args(["solve", "x.txt"])
+    assert CoarseningParams(alpha=args.alpha, beta=args.beta, p_target=args.p,
+                            radius_coeff=args.radius,
+                            propagation=args.propagation) == CoarseningParams()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    overrides = [a for a in sub.choices["tune"]._actions
+                 if a.help == "comma-separated override"]
+    assert [(a.dest, a.option_strings) for a in overrides] == [
+        (f.name, ["--" + f.name.replace("_", "-")]) for f in dataclasses.fields(SearchSpace)]
+
+
 def test_tune_bad_config_is_validation_error(tmp_path, instance_file, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")
@@ -355,7 +383,15 @@ def test_tune_bad_config_is_validation_error(tmp_path, instance_file, capsys):
     ({}, ["--alphas", ""], "alphas must be a non-empty list"),
     ({"betas": [None]}, [], "betas: "),
     ({"alpha": [0.9], "solver": ["greedy"], "ps": [0.5]}, [],
-     "unknown config keys: alpha, solver ")])
+     "unknown config keys: alpha, solver "),
+    # a config value is a JSON number, not a boolean or a string, or a
+    # string for solvers
+    ({"alphas": [True], "ps": [True], "solvers": ["greedy"]}, [], "alphas: "),
+    ({"ps": [False]}, [], "ps: "),
+    ({"radius_coeffs": ["1.0"]}, [], "radius_coeffs: "),
+    ({"solvers": [1]}, [], "solvers: "),
+    ({"solvers": [True]}, [], "solvers: "),
+    ({"betas": [10 ** 400]}, [], "betas: ")])
 def test_tune_space_field_must_be_a_non_empty_list(tmp_path, instance_file, capsys,
                                                    cfg, flags, message):
     path = tmp_path / "cfg.json"
@@ -464,7 +500,7 @@ def test_tune_jobs_under_forkserver_equals_serial(tmp_path, instance_file):
     # instance must reach them through the pool itself; it is Linux's
     # default start method from Python 3.14
     code = ("import multiprocessing, sys; multiprocessing.set_start_method('forkserver'); "
-            "from coarsevrp.cli import main; sys.exit(main(sys.argv[1:]))")
+            "from coarsevrp.cli import build_parser, main; sys.exit(main(sys.argv[1:]))")
     argv = ["tune", str(instance_file), "--trials", "4", "--seed", "5"]
     proc = subprocess.run([sys.executable, "-c", code, *argv, "--jobs", "2",
                            "--out-dir", str(tmp_path / "forkserver")],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsevrp.coarsening import CoarseningParams, coarsen
 from coarsevrp.graph import CoarseNode, Graph, nominal_visit_time, recompute_schedule
 from coarsevrp.instances import Customer, Instance
 
@@ -198,17 +199,32 @@ def test_contract_rejects_unknown_and_overlapping_merges():
         sub.contract([(1, 3, (1, 3), w)])               # merged in an earlier round
 
 
+def _all_taus(graph):
+    ids = [0, *graph.customer_ids()]
+    return [graph.tau(a, b) for a in ids for b in ids], [graph.taus(a, ids) for a in ids]
+
+
 @pytest.mark.parametrize("first", [False, True])
 def test_contract_keeps_the_mode_of_a_graph_with_super_nodes(first):
     g = Graph.from_instance(gen.random_instance(4, 6))
     w = (0.0, 100.0)
     empty, _ = g.contract([], first)                    # no super-node yet: either mode
+    assert _all_taus(empty) == _all_taus(g)             # and no radius to add
     empty.contract([(1, 2, (1, 2), w)], not first)
     sub, _ = g.contract([(1, 2, (1, 2), w)], first)
     assert sub.conservative == first
     with pytest.raises(ValueError):
         sub.contract([(3, 4, (3, 4), w)], not first)
     assert sub.contract([(3, 4, (3, 4), w)], first)[0].conservative == first
+    # the mode comes from the nodes' radii: a graph rebuilt from a coarse
+    # graph's node table, here acceptance test 6's, keeps every travel time
+    coarse, _ = coarsen(Graph.from_instance(gen.random_instance(301, 40, family="clustered")),
+                        CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3, radius_coeff=4.0,
+                                         propagation="conservative" if first else "relaxed"))
+    for graph in (sub, coarse):
+        rebuilt = Graph({n: graph.node(n) for n in [0, *graph.customer_ids()]}, graph.name)
+        assert rebuilt.conservative == graph.conservative == first
+        assert _all_taus(rebuilt) == _all_taus(graph)
 
 
 # ---------------------------------------------------------------------------
