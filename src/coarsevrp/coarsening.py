@@ -42,11 +42,11 @@ class CoarseningParams:
 
 @dataclass(frozen=True)
 class MergeRecord:
+    """One merge: super-node `super_id` stands for the two children named in
+    `order`, in service order, and gets the aggregated [ready, due] `window`."""
     super_id: int
-    left: int
-    right: int
-    order: tuple[int, int]        # service order of the two children
-    window: tuple[float, float]   # aggregated [ready, due] given to the super
+    order: tuple[int, int]
+    window: tuple[float, float]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, end
 def _match(graph: Graph, params: CoarseningParams, pairs, used: set, merges: list):
     """Greedy matching over sorted (w, i, j) pairs: skip a pair with an end
     in `used`, an infeasible service order or an empty conservative window,
-    and append every other one to `merges` as (i, j, order, window)."""
+    and append every other one to `merges` as ((first, second), window)."""
     for _, i, j in pairs:
         if i in used or j in used:
             continue
@@ -219,7 +219,7 @@ def _match(graph: Graph, params: CoarseningParams, pairs, used: set, merges: lis
         if window[0] > window[1]:
             continue
         used.update((i, j))
-        merges.append((i, j, (order[0].id, order[1].id), window))
+        merges.append(((order[0].id, order[1].id), window))
 
 
 def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
@@ -288,8 +288,8 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
         if not merges:
             break
         graph, supers = graph.contract(merges, params.propagation == "conservative")
-        history.extend(MergeRecord(sup.id, i, j, order, window)
-                       for sup, (i, j, order, window) in zip(supers, merges))
+        history.extend(MergeRecord(sup.id, order, window)
+                       for sup, (order, window) in zip(supers, merges))
     if trace is not None and rounds:
         stalled = graph.customer_count > params.p_target * n0
         trace[-1]["stop"] = "stalled" if stalled else "target"

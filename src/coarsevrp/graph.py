@@ -109,21 +109,22 @@ class Graph:
         return [hypot(ax - q.x, ay - q.y) for q in map(nodes.__getitem__, bs)]
 
     def contract(self, merges, conservative: bool = False):
-        """Apply one round of disjoint (i, j, order, window) merges in list
-        order; returns (graph, supers).
+        """Apply one round of disjoint (order, window) merges in list order;
+        returns (graph, supers).
 
-        Each merge names two customers of this graph that no earlier merge of
-        the call named. Each super-node takes the next free id, sits at its
-        children's midpoint, sums their demand and gets the given window.
-        By default its service time is the children's sum and travel times
-        are measured from the midpoint. With conservative=True the internal
-        leg joins the service time (s_first + tau_ij + s_second), the
-        super-node gets the covering radius max(r_a + |a - c|, r_b + |b - c|)
-        around its midpoint c, rounded up by one ulp. The new graph then
-        carries radii, so it is conservative: travel adds both radii to the
-        distance (see Graph), an upper bound over the members, so a coarse
-        schedule never promises more than the expanded route delivers. Once a
-        graph holds a super-node, later contractions must use its mode.
+        Each order is (first, second): two distinct customers of this graph
+        in service order, named by no earlier merge of the call. Each
+        super-node takes the next free id, sits at its children's midpoint,
+        sums their demand and gets the given window. By default its service
+        time is the children's sum and travel times are measured from the
+        midpoint. With conservative=True the internal leg joins the service
+        time (s_first + tau(first, second) + s_second), the super-node gets
+        the covering radius max(r_a + |a - c|, r_b + |b - c|) around its
+        midpoint c, rounded up by one ulp. The new graph then carries radii,
+        so it is conservative: travel adds both radii to the distance (see
+        Graph), an upper bound over the members, so a coarse schedule never
+        promises more than the expanded route delivers. Once a graph holds a
+        super-node, later contractions must use its mode.
 
         A super-node does not list its children: the caller keeps each merge
         (coarsen records it as a MergeRecord), and expansion_map expands a
@@ -139,19 +140,19 @@ class Graph:
         nodes = {nid: self._nodes[nid] for nid in sorted(self._nodes)}
         top = max(self._nodes)
         supers = []
-        for i, j, order, window in merges:
-            if set(order) != {i, j} or i == j:
-                raise ValueError("order must permute the merged pair")
-            for nid in (i, j):
+        for (first, second), window in merges:
+            if first == second:
+                raise ValueError(f"node {first} is merged with itself")
+            for nid in (first, second):
                 if nid == DEPOT_ID or nid not in self._nodes:
                     raise ValueError(f"node {nid} is not a customer of this graph")
                 if nid not in nodes:
                     raise ValueError(f"node {nid} is merged twice in one round")
-            a, b = nodes.pop(order[0]), nodes.pop(order[1])
+            a, b = nodes.pop(first), nodes.pop(second)
             ready, due = window
             x, y = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
             if conservative:
-                service = a.service + self.tau(i, j) + b.service
+                service = a.service + self.tau(first, second) + b.service
                 radius = math.nextafter(max(a.radius + math.hypot(a.x - x, a.y - y),
                                             b.radius + math.hypot(b.x - x, b.y - y)),
                                         math.inf)

@@ -20,7 +20,6 @@ class Solution:
     routes: list[Route]
     solver: str
     source_graph: str
-    flagged_routes: tuple[int, ...] = ()   # indices of fallback routes (unservable even alone)
 
     @property
     def customer_stops(self) -> list[int]:
@@ -37,7 +36,8 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
     remaining capacity, can be served by its due time, and still allows the
     return to the depot; ties go to the lower id. When nothing fits, the
     route is closed and a fresh one opened. Nodes infeasible even on a fresh
-    route become flagged singleton routes so nothing is silently dropped.
+    route end the solution as one-customer routes, each late or over
+    capacity, so nothing is silently dropped.
 
     The depot legs come from one Graph.taus call. At each step the
     unrouted nodes that fit the load, in id order, get their legs from the
@@ -50,7 +50,6 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
     nodes = {c: graph.node(c) for c in unrouted}
     homes = dict(zip(unrouted, graph.taus(DEPOT_ID, unrouted)))
     routes: list[Route] = []
-    flagged: list[int] = []
     while unrouted:
         stops = [DEPOT_ID]
         time = 0.0
@@ -70,13 +69,12 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
             else:
                 break
         if len(stops) == 1:
-            # nothing fits even a fresh vehicle: emit the rest as flagged singletons
+            # nothing fits even a fresh vehicle: emit the rest as singletons
             for c in unrouted:
-                flagged.append(len(routes))
                 routes.append(recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity))
             break
         routes.append(recompute_schedule(stops + [DEPOT_ID], graph, capacity))
-    return Solution(routes, "greedy", graph.name, tuple(flagged))
+    return Solution(routes, "greedy", graph.name)
 
 
 def savings_value(graph: Graph, i: int, j: int) -> float:

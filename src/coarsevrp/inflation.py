@@ -54,7 +54,7 @@ def inflate(solution: Solution, history: list[MergeRecord], original: Graph) -> 
     """
     routes = [recompute_schedule(stops, original)
               for stops in expand_stops(solution, history, original)]
-    return Solution(routes, solution.solver, original.name, solution.flagged_routes)
+    return Solution(routes, solution.solver, original.name)
 
 
 def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solution:
@@ -63,7 +63,7 @@ def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solu
     Idempotent: running it on its own output is a no-op.
     """
     return Solution(repair_stops([list(r.stops) for r in solution.routes], graph, capacity),
-                    solution.solver, solution.source_graph, solution.flagged_routes)
+                    solution.solver, solution.source_graph)
 
 
 def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> list[Route]:

@@ -106,8 +106,7 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str) -> P
     t2 = time.perf_counter()
     routes = repair_stops(expand_stops(coarse_solution, history, graph), graph,
                           instance.capacity)
-    full = Solution(routes, coarse_solution.solver, graph.name,
-                    coarse_solution.flagged_routes)
+    full = Solution(routes, coarse_solution.solver, graph.name)
     t3 = time.perf_counter()
     coarse_metrics = aggregate_metrics(coarse_solution.routes)
     metrics = aggregate_metrics(routes)

@@ -248,8 +248,7 @@ def _replay_levels(graph, history, conservative):
         fwd, _ = merge_feasibility(graph.node(first), graph.node(second),
                                    graph.tau(first, second))
         assert fwd, f"recorded direction infeasible at its level: {rec}"
-        graph, (sup,) = graph.contract([(rec.left, rec.right, rec.order, rec.window)],
-                                       conservative)
+        graph, (sup,) = graph.contract([(rec.order, rec.window)], conservative)
         assert sup.id == rec.super_id
         expand = expansion_map(history[:k + 1])
         assert sorted(s for c in graph.customer_ids()

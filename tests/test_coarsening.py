@@ -198,7 +198,7 @@ def _three_node_graph():
 def test_contract_midpoint_attributes():
     g = _three_node_graph()
     window = aggregate_window(g.node(1), g.node(2), g.tau(1, 2), "relaxed")
-    g2, (sup,) = g.contract([(1, 2, (1, 2), window)])
+    g2, (sup,) = g.contract([((1, 2), window)])
     assert (sup.x, sup.y) == (2.0, 0.0)
     assert abs(sup.demand - 30.0) < TOL
     assert abs(sup.service - 12.0) < TOL
@@ -212,7 +212,7 @@ def test_contract_midpoint_attributes():
 def test_contract_conservative_tau_is_worst_case():
     g = _three_node_graph()
     window = aggregate_window(g.node(1), g.node(2), g.tau(1, 2), "conservative")
-    g2, (sup,) = g.contract([(1, 2, (1, 2), window)], conservative=True)
+    g2, (sup,) = g.contract([((1, 2), window)], conservative=True)
     assert sup.radius >= 2.0                           # (2,0) to either child
     assert abs(g2.tau(sup.id, 3) - 10.0) < TOL         # 8 + 2 = max(10, 6)
     for k in (0, 3):
@@ -220,12 +220,6 @@ def test_contract_conservative_tau_is_worst_case():
         assert g2.tau(sup.id, k) >= g.tau(2, k) - TOL
     # internal leg absorbed into the occupancy
     assert abs(sup.service - (5.0 + 4.0 + 7.0)) < TOL
-
-
-def test_merge_pair_rejects_bad_order():
-    g = _three_node_graph()
-    with pytest.raises(ValueError):
-        g.contract([(1, 2, (1, 3), (0.0, 10.0))])
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +331,7 @@ def _replay(graph, history, conservative):
         ni, nj = graph.node(first), graph.node(second)
         fwd, _ = merge_feasibility(ni, nj, graph.tau(first, second))
         assert fwd, f"recorded direction infeasible at its level: {rec}"
-        graph, (sup,) = graph.contract([(rec.left, rec.right, rec.order, rec.window)],
-                                       conservative)
+        graph, (sup,) = graph.contract([(rec.order, rec.window)], conservative)
         assert sup.id == rec.super_id
         # the history so far expands the graph's customers to every original
         # customer exactly once
@@ -348,7 +341,7 @@ def _replay(graph, history, conservative):
         assert abs(sum(n.demand for n in graph.customers) - demand0) < 1e-6
         if not conservative:
             assert abs(sum(n.service for n in graph.customers) - service0) < 1e-6
-        assert 0 not in {rec.left, rec.right}, "depot merged"
+        assert 0 not in rec.order, "depot merged"
     return graph
 
 
@@ -466,7 +459,7 @@ def scan_graphs(draw):
     conservative = draw(st.booleans())
     ids = draw(st.permutations(graph.customer_ids()))
     k = draw(st.integers(0, n // 2))
-    merges = [(i, j, (i, j), (0.0, float(draw(st.integers(0, 900)))))
+    merges = [((i, j), (0.0, float(draw(st.integers(0, 900)))))
               for i, j in zip(ids[:k], ids[k:2 * k])]
     graph, _ = graph.contract(merges, conservative)
     return graph, conservative
@@ -495,9 +488,9 @@ def conservative_rounds(draw):
     for _ in range(draw(st.integers(1, 4))):
         ids = draw(st.permutations(graph.customer_ids()))
         k = draw(st.integers(0, len(ids) // 2))
-        merges = [(i, j, (i, j), (0.0, 900.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
+        merges = [((i, j), (0.0, 900.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
         graph, supers = graph.contract(merges, conservative=True)
-        for sup, (i, j, _, _) in zip(supers, merges):
+        for sup, ((i, j), _) in zip(supers, merges):
             members[sup.id] = members[i] + members[j]
     return original, graph, members
 
@@ -643,12 +636,12 @@ def _reference_coarsen(graph, params):
             if window[0] > window[1]:
                 continue
             used.update((i, j))
-            merges.append((i, j, (order[0].id, order[1].id), window))
+            merges.append(((order[0].id, order[1].id), window))
         if not merges:
             break
         graph, supers = graph.contract(merges, params.propagation == "conservative")
-        history.extend(MergeRecord(sup.id, i, j, order, window)
-                       for sup, (i, j, order, window) in zip(supers, merges))
+        history.extend(MergeRecord(sup.id, order, window)
+                       for sup, (order, window) in zip(supers, merges))
     return graph, history
 
 
@@ -698,5 +691,5 @@ def test_half_radius_pairs_match_before_the_outer_ring():
     graph, params = _HALF_RADIUS_CASE
     trace = []
     _, history = coarsen(graph, params, trace=trace)
-    assert [(r.left, r.right) for r in history] == [(1, 2), (3, 4)]
+    assert [tuple(sorted(r.order)) for r in history] == [(1, 2), (3, 4)]
     assert trace[0]["rho"] == 4.0

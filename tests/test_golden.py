@@ -25,9 +25,9 @@ COARSEN_CASES = [(301, 40, "clustered"), (302, 70, "random"), (303, 90, "mixed")
 
 COARSEN_DIGESTS = {
     "relaxed":
-        "9acd3ebdf5e251caef402c4decb29ae967d45b97dbe7f89ede63db7301116a0f",
+        "92fb56f534ef96fd0c7d5c19602ff1273e738f0139ea812ef84c7853776c5307",
     "conservative":
-        "accd426689177ae3314812a37349ba6df6fc7e0835bccf12b48b8bc457077333",
+        "8888054db7b627ab23b3f0f23794c561061222e48b581ec7cc89baff1d21d41f",
 }
 
 PIPELINE_DIGESTS = {

@@ -143,7 +143,7 @@ def _random_round(graph, ids, flips, k):
     merges = []
     for (i, j), flip in zip(zip(ids[:k], ids[k:2 * k]), flips):
         a, b = graph.node(i), graph.node(j)
-        merges.append((i, j, (j, i) if flip else (i, j),
+        merges.append(((j, i) if flip else (i, j),
                        (min(a.ready, b.ready), max(a.due, b.due))))
     return merges
 
@@ -183,20 +183,20 @@ def test_contract_rejects_unknown_and_overlapping_merges():
     g = Graph.from_instance(gen.random_instance(4, 6))
     w = (0.0, 100.0)
     bad_rounds = [
-        [(1, 2, (1, 2), w), (2, 3, (2, 3), w)],       # 2 merged twice
-        [(1, 2, (1, 2), w), (3, 1, (1, 3), w)],       # 1 merged twice
-        [(0, 1, (0, 1), w)],                           # the depot
-        [(1, 9, (1, 9), w)],                           # no such node
-        [(1, 2, (1, 2), w), (7, 3, (7, 3), w)],       # a super made in this call
-        [(1, 2, (2, 3), w)],                           # order is not the pair
-        [(4, 4, (4, 4), w)],                           # a node with itself
+        [((1, 2), w), ((2, 3), w)],                   # 2 merged twice
+        [((1, 2), w), ((3, 1), w)],                   # 1 merged twice
+        [((0, 1), w)],                                 # the depot
+        [((1, 9), w)],                                 # no such node
+        [((1, 2), w), ((7, 3), w)],                   # a super made in this call
+        [((1, 2, 3), w)],                              # an order that is not two ids
+        [((4, 4), w)],                                 # a node with itself
     ]
     for merges in bad_rounds:
         with pytest.raises(ValueError):
             g.contract(merges)
-    sub, _ = g.contract([(1, 2, (1, 2), w)])
+    sub, _ = g.contract([((1, 2), w)])
     with pytest.raises(ValueError):
-        sub.contract([(1, 3, (1, 3), w)])               # merged in an earlier round
+        sub.contract([((1, 3), w)])                     # merged in an earlier round
 
 
 def _all_taus(graph):
@@ -210,12 +210,12 @@ def test_contract_keeps_the_mode_of_a_graph_with_super_nodes(first):
     w = (0.0, 100.0)
     empty, _ = g.contract([], first)                    # no super-node yet: either mode
     assert _all_taus(empty) == _all_taus(g)             # and no radius to add
-    empty.contract([(1, 2, (1, 2), w)], not first)
-    sub, _ = g.contract([(1, 2, (1, 2), w)], first)
+    empty.contract([((1, 2), w)], not first)
+    sub, _ = g.contract([((1, 2), w)], first)
     assert sub.conservative == first
     with pytest.raises(ValueError):
-        sub.contract([(3, 4, (3, 4), w)], not first)
-    assert sub.contract([(3, 4, (3, 4), w)], first)[0].conservative == first
+        sub.contract([((3, 4), w)], not first)
+    assert sub.contract([((3, 4), w)], first)[0].conservative == first
     # the mode comes from the nodes' radii: a graph rebuilt from a coarse
     # graph's node table, here acceptance test 6's, keeps every travel time
     coarse, _ = coarsen(Graph.from_instance(gen.random_instance(301, 40, family="clustered")),
@@ -236,7 +236,7 @@ def test_taus_equals_tau(inst, data):
     g = Graph.from_instance(inst)
     ids = g.customer_ids()
     k = len(ids) // 2
-    merges = [(i, j, (i, j), (0.0, 1000.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
+    merges = [((i, j), (0.0, 1000.0)) for i, j in zip(ids[:k], ids[k:2 * k])]
     cases = [(g, [0, *ids[:1]])]
     for conservative in (False, True):
         coarse, supers = g.contract(merges, conservative)

@@ -36,7 +36,7 @@ def test_greedy_single_customer():
     inst = make_instance([(10, 0, 5, 0, 900, 0)])
     sol = greedy_solve(Graph.from_instance(inst), inst.capacity)
     assert [r.stops for r in sol.routes] == [[0, 1, 0]]
-    assert sol.flagged_routes == ()
+    assert sol.routes[0].late_stops == ()
     assert sol.solver == "greedy"
 
 
@@ -73,19 +73,29 @@ def test_greedy_flags_unservable_singletons():
     # due date smaller than the direct travel time: hopeless on its own
     inst = make_instance([(10, 0, 1, 0, 900, 0), (50, 0, 1, 0, 20, 0)])
     sol = greedy_solve(Graph.from_instance(inst), inst.capacity)
-    assert len(sol.flagged_routes) == 1
-    flagged = sol.routes[sol.flagged_routes[0]]
-    assert flagged.customer_stops == [2]
-    assert flagged.tw_violations >= 1
-    # nothing dropped
-    assert sorted(s for r in sol.routes for s in r.customer_stops) == [1, 2]
+    # nothing dropped: the fallback route serves customer 2 alone, late
+    assert [(r.stops, r.late_stops) for r in sol.routes] == [([0, 1, 0], ()),
+                                                              ([0, 2, 0], (1,))]
 
 
 def test_greedy_respects_depot_return():
     # serving the far customer late would miss the depot closing time
     inst = make_instance([(30, 0, 1, 40, 60, 0)], horizon=65.0)
     sol = greedy_solve(Graph.from_instance(inst), inst.capacity)
-    assert len(sol.flagged_routes) == 1   # start 40 + return 30 > 65: hopeless alone
+    # start 40 + return 30 > 65: hopeless alone, so a fallback route, late at the depot
+    assert [(r.stops, r.late_stops) for r in sol.routes] == [([0, 1, 0], (2,))]
+
+
+@pytest.mark.parametrize("solve", [greedy_solve, savings_solve])
+def test_super_node_over_capacity_gets_its_own_route(solve):
+    # demand 60 + 60 > 100: no vehicle can take the super-node, yet it is
+    # served, alone and over capacity, beside the other customer's route
+    inst = make_instance([(10, 0, 60, 0, 900, 0), (12, 0, 60, 0, 900, 0),
+                          (-10, 0, 10, 0, 900, 0)])
+    coarse, _ = Graph.from_instance(inst).contract([((1, 2), (0.0, 900.0))])
+    sol = solve(coarse, inst.capacity)
+    assert [(r.stops, r.over_capacity) for r in sol.routes] == [([0, 3, 0], False),
+                                                               ([0, 4, 0], True)]
 
 
 def test_savings_merges_compatible_pair():
@@ -280,7 +290,6 @@ def reference_greedy_solve(graph, capacity):
     depot = graph.depot
     unrouted = graph.customer_ids()
     routes = []
-    flagged = []
     while unrouted:
         stops = [DEPOT_ID]
         time = 0.0
@@ -308,13 +317,12 @@ def reference_greedy_solve(graph, capacity):
             stops.append(best)
             unrouted.remove(best)
         if len(stops) == 1:
-            # nothing fits even a fresh vehicle: emit the rest as flagged singletons
+            # nothing fits even a fresh vehicle: emit the rest as singletons
             for c in unrouted:
-                flagged.append(len(routes))
                 routes.append(recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity))
             break
         routes.append(recompute_schedule(stops + [DEPOT_ID], graph, capacity))
-    return Solution(routes, "greedy", graph.name, tuple(flagged))
+    return Solution(routes, "greedy", graph.name)
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,15 +19,15 @@ def make_instance(customers, capacity=100.0, horizon=1000.0):
     return Instance("hand", 10, capacity, depot, cs)
 
 
-def _solution(stop_lists, graph, solver="greedy", flagged=()):
+def _solution(stop_lists, graph, solver="greedy"):
     routes = [recompute_schedule(s, graph) for s in stop_lists]
-    return Solution(routes, solver, graph.name, tuple(flagged))
+    return Solution(routes, solver, graph.name)
 
 
 def test_inflate_single_record():
     inst = make_instance([(10, 0, 1, 0, 900, 5), (12, 0, 1, 0, 900, 5)])
     g = Graph.from_instance(inst)
-    hist = [MergeRecord(3, 1, 2, (1, 2), (0.0, 900.0))]
+    hist = [MergeRecord(3, (1, 2), (0.0, 900.0))]
     # a coarse graph isn't even needed to build the coarse stop list by hand
     coarse_sol = Solution([recompute_schedule([0, 1, 0], g)], "greedy", "c")
     coarse_sol.routes[0].stops[1] = 3          # pretend node 3 was routed
@@ -39,7 +39,7 @@ def test_inflate_single_record():
 def test_inflate_order_respected():
     inst = make_instance([(10, 0, 1, 0, 900, 5), (12, 0, 1, 0, 900, 5)])
     g = Graph.from_instance(inst)
-    hist = [MergeRecord(3, 1, 2, (2, 1), (0.0, 900.0))]
+    hist = [MergeRecord(3, (2, 1), (0.0, 900.0))]
     sol = _solution([[0, 1, 0]], g)
     sol.routes[0].stops[1] = 3
     out = inflate(sol, hist, g)
@@ -51,8 +51,8 @@ def test_inflate_nested_records_newest_first():
                           (14, 0, 1, 0, 900, 0)])
     g = Graph.from_instance(inst)
     # merge 1+2 -> 4, then 4+3 -> 5
-    hist = [MergeRecord(4, 1, 2, (1, 2), (0.0, 900.0)),
-            MergeRecord(5, 4, 3, (4, 3), (0.0, 900.0))]
+    hist = [MergeRecord(4, (1, 2), (0.0, 900.0)),
+            MergeRecord(5, (4, 3), (0.0, 900.0))]
     sol = _solution([[0, 1, 0]], g)
     sol.routes[0].stops[1] = 5
     out = inflate(sol, hist, g)
@@ -80,22 +80,21 @@ def test_inflate_ignores_unused_records():
     inst = make_instance([(10, 0, 1, 0, 900, 0), (12, 0, 1, 0, 900, 0),
                           (14, 0, 1, 0, 900, 0)])
     g = Graph.from_instance(inst)
-    hist = [MergeRecord(4, 1, 2, (1, 2), (0.0, 900.0))]
+    hist = [MergeRecord(4, (1, 2), (0.0, 900.0))]
     sol = _solution([[0, 3, 0]], g)            # never visits super 4
     out = inflate(sol, hist, g)
     assert out.routes[0].stops == [0, 3, 0]
 
 
-def test_inflate_preserves_route_count_and_flags():
+def test_inflate_preserves_route_count():
     inst = make_instance([(10, 0, 1, 0, 900, 0), (12, 0, 1, 0, 900, 0),
                           (14, 0, 1, 0, 900, 0)])
     g = Graph.from_instance(inst)
-    hist = [MergeRecord(4, 1, 2, (1, 2), (0.0, 900.0))]
-    sol = _solution([[0, 3, 0], [0, 1, 0]], g, flagged=(0,))
+    hist = [MergeRecord(4, (1, 2), (0.0, 900.0))]
+    sol = _solution([[0, 3, 0], [0, 1, 0]], g)
     sol.routes[1].stops[1] = 4
     out = inflate(sol, hist, g)
     assert len(out.routes) == 2
-    assert out.flagged_routes == (0,)
 
 
 def test_inflate_end_to_end_coverage():
@@ -217,8 +216,7 @@ def reference_light_postprocess(solution, graph, capacity):
                 changed = True
         stop_lists.extend(new_routes)
     routes = [recompute_schedule(stops, graph, capacity) for stops in stop_lists]
-    return Solution(routes, solution.solver, solution.source_graph,
-                    solution.flagged_routes)
+    return Solution(routes, solution.solver, solution.source_graph)
 
 
 @settings(max_examples=150, deadline=None)
