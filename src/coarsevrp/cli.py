@@ -27,8 +27,16 @@ def _summary_line(tag: str, metrics, score: float) -> str:
             f"score={score:.2f}")
 
 
-def _default_out(instance_path: str, suffix: str) -> Path:
-    return Path(Path(instance_path).stem + suffix)
+def _write_result(args, instance, out, tag: str, params_doc: dict, suffix: str) -> int:
+    """Print a run's summary line, write its solution document to --out or
+    to the instance's stem + suffix, and say where."""
+    print(_summary_line(tag, out.metrics, out.score))
+    doc = build_solution_document(out.solution, instance, out.metrics, params_doc,
+                                  seed=args.seed, timings=out.timings)
+    out_path = args.out or Path(Path(args.instance).stem + suffix)
+    write_solution(doc, out_path)
+    print(f"wrote {out_path}")
+    return 0
 
 
 def cmd_solve(args) -> int:
@@ -36,40 +44,28 @@ def cmd_solve(args) -> int:
     params = CoarseningParams(alpha=args.alpha, beta=args.beta, p_target=args.p,
                               radius_coeff=args.radius, propagation=args.propagation)
     out = run_pipeline(instance, params, args.solver)
-    print(_summary_line(instance.name, out.metrics, out.score))
     if out.coarsening and out.coarsening[-1]["stop"] == "stalled":
         n0 = len(instance.customers)
         print(f"warning: coarsening stalled at {out.coarse_graph.customer_count} nodes "
               f"(started with {n0}, target {int(args.p * n0)})", file=sys.stderr)
-    doc = build_solution_document(
-        out.solution, instance, out.metrics,
-        {"alpha": args.alpha, "beta": args.beta, "p": args.p,
-         "radius_coeff": args.radius, "propagation": args.propagation,
-         "solver": args.solver},
-        seed=args.seed, timings=out.timings)
-    out_path = args.out or _default_out(args.instance, ".solution.json")
-    write_solution(doc, out_path)
-    print(f"wrote {out_path}")
-    return 0
+    return _write_result(args, instance, out, instance.name,
+                         {"alpha": args.alpha, "beta": args.beta, "p": args.p,
+                          "radius_coeff": args.radius, "propagation": args.propagation,
+                          "solver": args.solver}, ".solution.json")
 
 
 def cmd_baseline(args) -> int:
     instance = load_instance(args.instance)
-    solution, metrics, score, timings = solve_baseline(instance, args.solver)
-    print(_summary_line(f"{instance.name} [baseline {args.solver}]", metrics, score))
-    doc = build_solution_document(solution, instance, metrics, {"solver": args.solver},
-                                  seed=args.seed, timings=timings)
-    out_path = args.out or _default_out(args.instance, ".baseline.json")
-    write_solution(doc, out_path)
-    print(f"wrote {out_path}")
-    return 0
+    return _write_result(args, instance, solve_baseline(instance, args.solver),
+                         f"{instance.name} [baseline {args.solver}]",
+                         {"solver": args.solver}, ".baseline.json")
 
 
 def _space_from(args) -> SearchSpace:
     cfg = {}
     if args.config:
         try:
-            cfg = json.loads(Path(args.config).read_text())
+            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise DocumentError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
@@ -137,7 +133,7 @@ def cmd_plot(args) -> int:
     doc = read_solution(args.solution)
     svg = render_solution_svg(doc)
     out_path = args.out or Path(Path(args.solution).stem + ".svg")
-    Path(out_path).write_text(svg)
+    Path(out_path).write_text(svg, encoding="utf-8")
     print(f"wrote {out_path}")
     return 0
 

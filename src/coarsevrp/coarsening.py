@@ -77,7 +77,9 @@ def merge_feasibility(i: CoarseNode, j: CoarseNode, tau_ij: float) -> tuple[bool
     """(forward, backward): can j be served right after i, and vice versa?
 
     Serving i at its earliest start must still allow j to finish by its due
-    time: ready_i <= due_j - service_j - tau_ij - service_i.
+    time: ready_i <= due_j - service_j - tau_ij - service_i. This reads `due`
+    as a finish-by deadline; Customer.due and recompute_schedule read it as
+    the latest start, so a pair rejected here may still be served on time.
     """
     forward = i.ready <= j.due - j.service - tau_ij - i.service
     backward = j.ready <= i.due - i.service - tau_ij - j.service
@@ -85,7 +87,9 @@ def merge_feasibility(i: CoarseNode, j: CoarseNode, tau_ij: float) -> tuple[bool
 
 
 def merge_slack(first: CoarseNode, second: CoarseNode, tau: float) -> float:
-    """Scheduling headroom when `first` is served immediately before `second`."""
+    """Scheduling headroom when `first` is served immediately before `second`,
+    reading `due` as a finish-by deadline as merge_feasibility does (not as
+    the latest start that Customer.due and recompute_schedule use)."""
     return (second.due - second.service - tau) - (first.ready + first.service)
 
 

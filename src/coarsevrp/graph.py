@@ -34,7 +34,9 @@ class CoarseNode:
 def nominal_visit_time(node) -> float:
     """Representative service-start time used by the temporal distance:
     halfway between the earliest start and the latest start that still
-    finishes by the deadline, i.e. (ready + (due - service)) / 2.
+    finishes by the deadline, i.e. (ready + (due - service)) / 2. This reads
+    `due` as a finish-by deadline, while Customer.due and recompute_schedule
+    read it as the latest start, so the result can fall before `ready`.
     """
     return (node.ready + (node.due - node.service)) / 2.0
 

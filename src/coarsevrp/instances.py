@@ -147,7 +147,7 @@ def _validate(name, vehicle_count, capacity, depot, customers):
 
 
 def load_instance(path: str | Path) -> Instance:
-    return parse_solomon(Path(path).read_text())
+    return parse_solomon(Path(path).read_text(encoding="utf-8"))
 
 
 def _fmt(v: float) -> str:
@@ -310,12 +310,12 @@ def _dumps(doc) -> str:
 
 def write_solution(doc: dict, path: str | Path) -> None:
     """Write a document as 2-space-indented, key-sorted ASCII JSON."""
-    Path(path).write_text(_dumps(validate_document(doc)) + "\n")
+    Path(path).write_text(_dumps(validate_document(doc)) + "\n", encoding="utf-8")
 
 
 def read_solution(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
     return validate_document(doc)
@@ -343,12 +343,12 @@ def trial_row(result, instance_name: str, seed) -> dict:
 
 
 def write_trials_csv(path: str | Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TRIAL_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
 
 
 def read_trials_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))

@@ -138,7 +138,7 @@ def format_report(rows: list[dict]) -> str:
 
 
 def write_report_csv(path: str | Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([k for k, _ in REPORT_COLUMNS])
         for r in rows:

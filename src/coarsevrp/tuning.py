@@ -52,15 +52,15 @@ class SearchSpace:
 @dataclass(frozen=True)
 class TrialResult:
     trial: int
-    alpha: float | None
-    beta: float | None
-    p: float | None
-    radius_coeff: float | None
-    propagation: str | None
     solver: str
-    coarse_metrics: Metrics | None
     metrics: Metrics
     score: float
+    alpha: float | None = None
+    beta: float | None = None
+    p: float | None = None
+    radius_coeff: float | None = None
+    propagation: str | None = None
+    coarse_metrics: Metrics | None = None
     coarsen_ms: float = 0.0
     solve_ms: float = 0.0
     inflate_ms: float = 0.0
@@ -76,12 +76,14 @@ class TrialResult:
 
 @dataclass
 class PipelineResult:
-    solution: Solution              # inflated + postprocessed, on the original graph
-    coarse_solution: Solution
-    coarse_graph: Graph
-    coarse_metrics: Metrics
+    """One solve of an instance. A baseline (solve_baseline) has no coarse
+    stage: its coarse fields are None and its timings hold only solve_ms."""
+    solution: Solution              # the final routes, on the original graph
     metrics: Metrics
     score: float
+    coarse_solution: Solution | None = None
+    coarse_graph: Graph | None = None
+    coarse_metrics: Metrics | None = None
     timings: dict = field(default_factory=dict)
     coarsening: list = field(default_factory=list)   # coarsen's per-round trace
 
@@ -119,16 +121,17 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str) -> P
         coarsening=rounds)
 
 
-def solve_baseline(instance: Instance, solver: str) -> tuple[Solution, Metrics, float, dict]:
-    """Solve the uncoarsened instance; the metrics are aggregated from the
-    solver's routes, which it schedules on that graph with the capacity."""
+def solve_baseline(instance: Instance, solver: str) -> PipelineResult:
+    """run_pipeline without the coarse stage: the solver's routes on the
+    uncoarsened instance, with metrics aggregated from their schedules."""
     solve_fn = SOLVERS[solver]
     graph = Graph.from_instance(instance)
     t0 = time.perf_counter()
     solution = solve_fn(graph, instance.capacity)
     solve_ms = (time.perf_counter() - t0) * 1e3
     metrics = aggregate_metrics(solution.routes)
-    return solution, metrics, objective_score(metrics), {"solve_ms": solve_ms}
+    return PipelineResult(solution, metrics, objective_score(metrics),
+                          timings={"solve_ms": solve_ms})
 
 
 def trial_solution(instance: Instance, trial: TrialResult) -> Solution:
@@ -140,12 +143,10 @@ def trial_solution(instance: Instance, trial: TrialResult) -> Solution:
 
 
 def run_baseline(instance: Instance, solver: str) -> TrialResult:
-    """Solve the uncoarsened instance directly; fills only the final metrics."""
-    _, metrics, score, timings = solve_baseline(instance, solver)
-    return TrialResult(trial=-1, alpha=None, beta=None, p=None, radius_coeff=None,
-                       propagation=None, solver=solver, coarse_metrics=None,
-                       metrics=metrics, score=score,
-                       solve_ms=timings["solve_ms"])
+    """solve_baseline as a campaign task: trial -1, with no parameters."""
+    out = solve_baseline(instance, solver)
+    return TrialResult(trial=-1, solver=solver, metrics=out.metrics, score=out.score,
+                       **out.timings)
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_2_every_customer_served_exactly_once(request):
         family = ("random", "clustered", "mixed")[i % 3]
         inst = gen.random_instance(2000 + i, n, family=family)
         for solver in ("greedy", "savings"):
-            base, _, _, _ = solve_baseline(inst, solver)
+            base = solve_baseline(inst, solver).solution
             pipe = run_pipeline(inst, params, solver)
             for sol in (base, pipe.solution):
                 outputs += 1
@@ -188,7 +188,7 @@ def test_3_costs_never_beat_exhaustive_optimum(request):
             continue
         opt_cost = evaluate(opt, g, inst.capacity).total_distance
         for solver in ("greedy", "savings"):
-            _, bm, _, _ = solve_baseline(inst, solver)
+            bm = solve_baseline(inst, solver).metrics
             pm = run_pipeline(inst, params, solver).metrics
             for label, m in ((f"{solver} baseline", bm), (f"{solver} pipeline", pm)):
                 if not m.feasible:

@@ -510,6 +510,37 @@ def test_tune_jobs_under_forkserver_equals_serial(tmp_path, instance_file):
     assert _tune_outputs(tmp_path / "forkserver") == _tune_outputs(tmp_path / "serial")
 
 
+def _child_cli(argv, *flags, env=None):
+    """`coarsevrp argv` in a child interpreter started with `flags`."""
+    code = "import sys; from coarsevrp.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, *flags, "-c", code, *map(str, argv)],
+                          capture_output=True, text=True, env=env or _child_env(),
+                          timeout=120)
+
+
+def test_every_command_reads_and_writes_utf8(tmp_path, instance_file):
+    # a file opened in the locale's encoding raises EncodingWarning here
+    config = tmp_path / "space.json"
+    config.write_text('{"alphas": [0.5], "solvers": ["greedy"]}', encoding="utf-8")
+    for argv in (["solve", instance_file, "-o", tmp_path / "s.json"],
+                 ["baseline", instance_file, "-o", tmp_path / "b.json"],
+                 ["tune", instance_file, "--trials", "2", "--config", config,
+                  "--out-dir", tmp_path / "run"],
+                 ["report", tmp_path / "run", "-o", tmp_path / "report.csv"],
+                 ["plot", tmp_path / "s.json", "-o", tmp_path / "s.svg"]):
+        proc = _child_cli(argv, "-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+
+
+def test_plot_writes_utf8_under_an_ascii_locale(tmp_path, instance_file):
+    doc, svg = tmp_path / "s.json", tmp_path / "s.svg"
+    assert main(["solve", str(instance_file), "-o", str(doc)]) == 0
+    env = {**_child_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = _child_cli(["plot", doc, "-o", svg], env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "—" in svg.read_bytes().decode("utf-8")      # the title's em dash
+
+
 # sha256 of every file the CLI writes, and of what it prints, on two fixed
 # instances; timings are zeroed in documents and cut from the CSVs (their
 # last three columns), paths are replaced by "<tmp>"
