@@ -1,6 +1,9 @@
 """Command-line interface: solve, baseline, tune, plot, report.
 
 Exit codes: 0 success, 2 parse/validation problem, 3 I/O problem.
+
+A command imports only what it runs: `plot` loads the SVG module, `report`
+the report module, and the process pool loads with `tune --jobs` > 1.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from pathlib import Path
 from .coarsening import PROPAGATION_MODES, CoarseningParams
 from .instances import (DocumentError, build_solution_document, load_instance,
                         read_solution, trial_row, write_solution, write_trials_csv)
-from .plotting import render_solution_svg
-from .report import build_report, format_report, write_report_csv
 from .tuning import (SOLVERS, SearchSpace, run_campaign, run_pipeline, solve_baseline,
                      trial_solution)
 
@@ -130,6 +131,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .plotting import render_solution_svg
     doc = read_solution(args.solution)
     svg = render_solution_svg(doc)
     out_path = args.out or Path(Path(args.solution).stem + ".svg")
@@ -139,10 +141,14 @@ def cmd_plot(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """The table on stdout and, with --out, the same rows as CSV; the CSV
+    is written first, so a table that stdout cannot encode still leaves it."""
+    from .report import build_report, format_report, write_report_csv
     rows = build_report(args.run_dirs)
-    print(format_report(rows))
     if args.out:
         write_report_csv(args.out, rows)
+    print(format_report(rows))
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 

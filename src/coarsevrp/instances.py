@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -343,6 +342,7 @@ def trial_row(result, instance_name: str, seed) -> dict:
 
 
 def write_trials_csv(path: str | Path, rows) -> None:
+    import csv      # here, not at the top: only tune and report use the CSVs
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TRIAL_FIELDS)
         writer.writeheader()
@@ -350,5 +350,6 @@ def write_trials_csv(path: str | Path, rows) -> None:
 
 
 def read_trials_csv(path: str | Path) -> list[dict]:
+    import csv
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))

@@ -117,7 +117,7 @@ def build_report(run_dirs) -> list[dict]:
 
 def _fmt(v):
     if v is None:
-        return "—"
+        return "n/a"      # ASCII, so the table prints under any locale
     if isinstance(v, float):
         return f"{v:.2f}"
     return str(v)

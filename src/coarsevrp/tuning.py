@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -257,6 +256,8 @@ def run_campaign(instance: Instance, space: SearchSpace, n_trials: int, seed: in
     args = (instance, space, seed, propagation)
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
+        # imported here, so that a serial run never loads the pool and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=args) as pool:
             results = list(pool.map(_worker_task, tasks))

@@ -541,6 +541,41 @@ def test_plot_writes_utf8_under_an_ascii_locale(tmp_path, instance_file):
     assert "—" in svg.read_bytes().decode("utf-8")      # the title's em dash
 
 
+def test_report_writes_its_csv_under_an_ascii_locale(tmp_path, instance_file):
+    # cli20 has no reference row, so the table holds placeholders
+    run, table = tmp_path / "run", tmp_path / "r.csv"
+    assert main(["tune", str(instance_file), "--trials", "2", "--out-dir", str(run)]) == 0
+    env = {**_child_env(), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = _child_cli(["report", run, "-o", table], env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert table.exists()
+
+
+def test_commands_import_only_what_they_run(tmp_path, instance_file):
+    # in a fresh interpreter, each entry of `loaded` lists the modules that
+    # importing the CLI and running the commands so far added to sys.modules
+    code = ("import json, sys; before = set(sys.modules); from coarsevrp.cli import main\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded.append(sorted(set(sys.modules) - before))\n"
+            "print(json.dumps(loaded))")
+    runs = [["solve", instance_file, "-o", tmp_path / "s.json"],
+            ["baseline", instance_file, "-o", tmp_path / "b.json"],
+            ["tune", instance_file, "--trials", "2", "--jobs", "1",
+             "--out-dir", tmp_path / "run"]]
+    proc = subprocess.run([sys.executable, "-c", code,
+                           json.dumps([[str(a) for a in argv] for argv in runs])],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    solve, baseline, tune = json.loads(proc.stdout.splitlines()[-1])
+    pool = {"concurrent.futures", "multiprocessing"}
+    deferred = pool | {"csv", "coarsevrp.plotting", "coarsevrp.report"}
+    assert "coarsevrp.tuning" in solve and "csv" in tune      # loads are seen
+    assert deferred.isdisjoint(solve) and deferred.isdisjoint(baseline)
+    assert pool.isdisjoint(tune)
+
+
 # sha256 of every file the CLI writes, and of what it prints, on two fixed
 # instances; timings are zeroed in documents and cut from the CSVs (their
 # last three columns), paths are replaced by "<tmp>"
@@ -558,7 +593,7 @@ WRITTEN_DIGESTS = {
     "plot.svg":
         "6380958505c8b2abd60386254720035ba1af83ce0df45b9ae57f9b28cd114002",
     "report stdout":
-        "a08b6ca9e038c227fd6d1b4ba88f1e385c086d8df77827ccbbab1adf340d4737",
+        "0fb566cd54a2f1b25d4d0daad508863cd74abec6e5446578e5c4cdf32e68e17f",
     "report.csv":
         "d138b80fee98a86ec9051960a0a3c835e4ebead8f017d2e652c2fc395b3a6ce4",
     "solve_conservative":

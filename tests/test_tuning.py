@@ -183,7 +183,7 @@ def serial_pool(monkeypatch):
             record.tasks.append(list(tasks))
             return map(fn, record.tasks[-1])
 
-    monkeypatch.setattr("coarsevrp.tuning.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr("coarsevrp.tuning._worker_args", ())
     return record
 
