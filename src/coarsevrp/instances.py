@@ -227,89 +227,11 @@ def validate_document(doc: dict) -> dict:
     return doc
 
 
-_quote = json.encoder.encode_basestring_ascii
-_format_scalars = json.JSONEncoder(separators=(",", ":")).encode   # the C encoder
-_SCALAR_TYPES = {int, float, bool, type(None)}
-
-
-def _key_text(key) -> str:
-    """A dict key as json.dumps writes it, with `%` doubled for the template."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = _format_scalars([key])[1:-1]
-    return _quote(key).replace("%", "%%")
-
-
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
-
-    ``indent`` makes json fall back to its pure-Python encoder, so the text is
-    assembled here from the C encoder's parts instead: strings and keys go
-    through ``encode_basestring_ascii``, and every number, bool and null
-    becomes a ``%s`` whose text one C-encoder call on the list of all of them
-    gives (a scalar's text holds no comma). Literal `%` is doubled. A dict of
-    str keys and scalar values (a stop, a node) is filled from a template
-    built once per key tuple and depth.
-    """
-    parts = []
-    scalars = []
-    templates = {}
-
-    def walk(o, depth):
-        if isinstance(o, dict):
-            if not o:
-                parts.append("{}")
-                return
-            inner = "\n" + "  " * (depth + 1)
-            shape = (tuple(o), depth)
-            template = templates.get(shape)
-            if (template is None and all(type(k) is str for k in o)
-                    and _SCALAR_TYPES.issuperset(map(type, o.values()))):
-                order = sorted(o)
-                template = templates[shape] = (order, "".join(
-                    ("," if i else "{") + inner + _key_text(k) + ": %s"
-                    for i, k in enumerate(order)) + "\n" + "  " * depth + "}")
-            if template is not None:
-                values = [o[k] for k in template[0]]
-                if _SCALAR_TYPES.issuperset(map(type, values)):
-                    parts.append(template[1])
-                    scalars.extend(values)
-                    return
-            sep = "{"
-            for k, v in sorted(o.items()):
-                parts.append(sep + inner + _key_text(k) + ": ")
-                sep = ","
-                walk(v, depth + 1)
-            parts.append("\n" + "  " * depth + "}")
-        elif isinstance(o, str):
-            parts.append(_quote(o).replace("%", "%%"))
-        elif o is None or isinstance(o, (int, float)):
-            parts.append("%s")
-            scalars.append(o)
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                parts.append("[]")
-                return
-            inner = "\n" + "  " * (depth + 1)
-            sep = "["
-            for v in o:
-                parts.append(sep + inner)
-                sep = ","
-                walk(v, depth + 1)
-            parts.append("\n" + "  " * depth + "]")
-        else:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-    walk(doc, 0)
-    texts = tuple(_format_scalars(scalars)[1:-1].split(",")) if scalars else ()
-    return "".join(parts) % texts
-
-
 def write_solution(doc: dict, path: str | Path) -> None:
-    """Write a document as 2-space-indented, key-sorted ASCII JSON."""
-    Path(path).write_text(_dumps(validate_document(doc)) + "\n", encoding="utf-8")
+    """Write a document as one line of key-sorted ASCII JSON
+    (``python -m json.tool`` pretty-prints it)."""
+    Path(path).write_text(json.dumps(validate_document(doc), sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def read_solution(path: str | Path) -> dict:

@@ -48,6 +48,19 @@ def test_solve_writes_document(tmp_path, instance_file, capsys):
     assert sorted(stops) == list(range(1, 21))
 
 
+def test_solve_document_is_one_line_of_sorted_ascii_json(tmp_path):
+    path, out = tmp_path / "inst.txt", tmp_path / "sol.json"
+    path.write_text(write_solomon(gen.random_instance(55, 20, name="Café n°20")),
+                    encoding="utf-8")
+    assert main(["solve", str(path), "-o", str(out)]) == 0
+    raw = out.read_bytes()
+    assert raw.isascii()
+    text = raw.decode()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert json.loads(text)["instance"] == "Café n°20"
+
+
 def test_solve_missing_file_is_io_error(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "nope.txt")])
     assert rc == 3
@@ -581,11 +594,11 @@ def test_commands_import_only_what_they_run(tmp_path, instance_file):
 # last three columns), paths are replaced by "<tmp>"
 WRITTEN_DIGESTS = {
     "baseline_greedy":
-        "dc2d2e8e1ba02597c6376079a174117b9b13615d008547fa3f6451804f21a378",
+        "77afe1826a8c17e6ff033bf092968da432544b1947d199f927895c847b485649",
     "baseline_greedy stdout":
         "6e76d988651bbfea1f516820754dd6b3cc1a5b7af2dcc578c500fc7f54febec6",
     "baseline_savings":
-        "e7cddb31a68fe639b183427a59ee54d0de77b8dcfa462cba602c772b53e3c0b1",
+        "60aad0c0d2ae5fe3b524b168c3aab2ebd8c27e6e55a3cb7e5c730a5dd84c4b5b",
     "baseline_savings stdout":
         "406a85fe6ac3aa290d7148e3421edcb4928bacaa02465c3d6e73efe53710124f",
     "plot stdout":
@@ -597,21 +610,21 @@ WRITTEN_DIGESTS = {
     "report.csv":
         "d138b80fee98a86ec9051960a0a3c835e4ebead8f017d2e652c2fc395b3a6ce4",
     "solve_conservative":
-        "e4ea07ea52d1471c2362579300284fccb6fda382ce2123042b2105ef5a2b6689",
+        "667c279c5c3a7164e2b92eaf50cbce38155d910462400ffb5f0a294c15db4020",
     "solve_conservative stdout":
         "20c5eb2cdc78ed31fc61ea6571293c8f843cd447d76648a5f8dcbfd71715dd12",
     "solve_defaults":
-        "6de92bea814ca8d0e4aa894fc14353c9b7500fb968442f1719f2291bd62e2eaa",
+        "98b88e96ad61625d310d479820295d3edec171c9b3b880d07c2684411f05a160",
     "solve_defaults stdout":
         "bc46653c667f7b7c90b4a84e31e81de1c445234f2de43a6c9c4e78cd5a055cd6",
     "solve_t6":
-        "a69fbafc4334bc1d8e31eab518df6b9ddfb73854a8e97f1d768fe375455714c8",
+        "323f7aa6f1723f2b0bbfdc8f96e1513f6bc96774ff4ce798a078e7eae82df816",
     "solve_t6 stdout":
         "98f5d8a132977736c70e6b16ae8a172eaf6bbac284cfbf724f237c9f5e1b1856",
     "tune cli20 baselines.csv":
         "4b2e65a4a41bdf7127fa4b6473f6d75891be454b2464e44fc19309719197c754",
     "tune cli20 best_solution.json":
-        "6abd1a4d7f01209c9152a5002821836b6b0ffafa6d4c12cecdc27a307304a34f",
+        "30db7f726647cddf609fc9c52fd7ce7c486bf856093edc13a1782e7f61c6e2e2",
     "tune cli20 stdout":
         "e6fbbf0a26066dae134f692bd0d0b46319b0cecfd2f9786d4dd16c726a239167",
     "tune cli20 trials.csv":
@@ -619,14 +632,14 @@ WRITTEN_DIGESTS = {
     "tune synth_C101 baselines.csv":
         "91ee4a79bf1fc2c878cc9d9fcf180b6d72662dbea566751b44f02f3857d9c770",
     "tune synth_C101 best_solution.json":
-        "a2f9a1fba7f8edcf2ce0dd85520727f5ab349f3521b328d177ccc7ef349b51b8",
+        "55e4068bab4e30bfba0afcf09130944fe3107237d23e82fcd13d70289bb2eafb",
     "tune synth_C101 stdout":
         "4a6e0d6ceecfc075674db5f0e4ea8dfbff244cae5192670405370c7b7ce14e86",
     "tune synth_C101 trials.csv":
         "85db8c028188cd947aa1745c4896abe21159cbf49ce41c818f2d30273fef6bc1",
 }
 
-_TIMING_VALUE = re.compile(r'("(?:coarsen|solve|inflate)_ms": )[^,\n]+')
+_TIMING_VALUE = re.compile(r'("(?:coarsen|solve|inflate)_ms": )[^,}\n]+')
 
 
 def _sha(text):
