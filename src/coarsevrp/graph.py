@@ -41,6 +41,11 @@ def nominal_visit_time(node) -> float:
     return (node.ready + (node.due - node.service)) / 2.0
 
 
+def _widen(v: float) -> float:
+    """v raised past the rounding error of a covering bound (see Graph)."""
+    return v * (1 + 2**-49) + 2**-1070
+
+
 class Graph:
     """Depot plus customer/super nodes with symmetric travel times.
 
@@ -53,8 +58,20 @@ class Graph:
     farther from its node's position than the node's radius, so by the triangle
     inequality that sum is at least the distance between any member of one and
     any member of the other: an upper bound over the pair's members. When a
-    radius is not 0 the sum is rounded up by one ulp, as the bound holds with
-    equality for collinear points and a rounded-down sum would fall below it.
+    radius is not 0 the sum is widened to sum * (1 + 2**-49) + 2**-1070
+    (_widen), as the bound holds with equality for collinear points and the
+    computed sum can fall below it.
+
+    The error argument, with u = 2**-53: each coordinate difference rounds by
+    at most u, hypot by less than 1 ulp (at most 2u) and each sum of
+    non-negative terms by at most u, so a computed radius or conservative
+    travel time is at least (1 - 4u) times the real sum it stands for, while
+    a member distance computed the same way reads up to (1 + 3u) times its
+    real value. The factor 1 + 16u, itself rounded by at most u, lifts the
+    sum to at least about (1 + 11u) times the real one, which covers both.
+    Below 2**-1022 these relative bounds fail, as each step may err by
+    2**-1074; the added 2**-1070 is 16 such steps, and it keeps every radius
+    above 0, which Graph.conservative reads.
     """
 
     def __init__(self, nodes: dict[int, CoarseNode], name: str = "graph"):
@@ -93,7 +110,7 @@ class Graph:
     def tau(self, a: int, b: int) -> float:
         p, q = self._nodes[a], self._nodes[b]
         if self.conservative and (r := p.radius + q.radius):
-            return math.nextafter(math.hypot(p.x - q.x, p.y - q.y) + r, math.inf)
+            return _widen(math.hypot(p.x - q.x, p.y - q.y) + r)
         return math.hypot(p.x - q.x, p.y - q.y)
 
     def taus(self, a: int, bs) -> list[float]:
@@ -104,8 +121,8 @@ class Graph:
         ax, ay = p.x, p.y
         hypot = math.hypot
         if self.conservative:
-            r, up, inf = p.radius, math.nextafter, math.inf
-            return [up(d + s, inf) if (s := r + q.radius) else d
+            r = p.radius                      # _widen inline, as this loop is hot
+            return [(d + s) * (1 + 2**-49) + 2**-1070 if (s := r + q.radius) else d
                     for q in map(nodes.__getitem__, bs)
                     for d in (hypot(ax - q.x, ay - q.y),)]
         return [hypot(ax - q.x, ay - q.y) for q in map(nodes.__getitem__, bs)]
@@ -122,11 +139,11 @@ class Graph:
         midpoint. With conservative=True the internal leg joins the service
         time (s_first + tau(first, second) + s_second), the super-node gets
         the covering radius max(r_a + |a - c|, r_b + |b - c|) around its
-        midpoint c, rounded up by one ulp. The new graph then carries radii,
-        so it is conservative: travel adds both radii to the distance (see
-        Graph), an upper bound over the members, so a coarse schedule never
-        promises more than the expanded route delivers. Once a graph holds a
-        super-node, later contractions must use its mode.
+        midpoint c, widened for rounding as a travel time is (see Graph). The
+        new graph then carries radii, so it is conservative: travel adds both
+        radii to the distance, an upper bound over the members, so a coarse
+        schedule never promises more than the expanded route delivers. Once a
+        graph holds a super-node, later contractions must use its mode.
 
         A super-node does not list its children: the caller keeps each merge
         (coarsen records it as a MergeRecord), and expansion_map expands a
@@ -155,9 +172,8 @@ class Graph:
             x, y = (a.x + b.x) / 2.0, (a.y + b.y) / 2.0
             if conservative:
                 service = a.service + self.tau(first, second) + b.service
-                radius = math.nextafter(max(a.radius + math.hypot(a.x - x, a.y - y),
-                                            b.radius + math.hypot(b.x - x, b.y - y)),
-                                        math.inf)
+                radius = _widen(max(a.radius + math.hypot(a.x - x, a.y - y),
+                                    b.radius + math.hypot(b.x - x, b.y - y)))
             else:
                 service, radius = a.service + b.service, 0.0
             top += 1

@@ -27,7 +27,7 @@ COARSEN_DIGESTS = {
     "relaxed":
         "92fb56f534ef96fd0c7d5c19602ff1273e738f0139ea812ef84c7853776c5307",
     "conservative":
-        "8888054db7b627ab23b3f0f23794c561061222e48b581ec7cc89baff1d21d41f",
+        "96ffe13aaac724e61090252129feb31a1f463b46ed04eeafefdfb60e2a5cffd7",
 }
 
 PIPELINE_DIGESTS = {
@@ -36,13 +36,13 @@ PIPELINE_DIGESTS = {
     ("relaxed", "savings"):
         "84f58b5c6af1d8f7e74f66528716119c7d80db1edb2d6b1dbb9ac41167bb5bc3",
     ("conservative", "greedy"):
-        "b7b422876fcd69cabd5491880bebfac4440e5921b77ffdb5cac17caf24b798d6",
+        "7515256622cb730fc4d89e60355853c028fd80b290de444bedf9619b1bc77778",
     ("conservative", "savings"):
-        "2cd5161a59a53f2c073511d07f6a14ca989e41743f015cfdf4076f12bf6a1e7a",
+        "125bfa19c5217d2e1ceecb607d047ffb28b7e51428f5f84eb1cdca482959d6d9",
 }
 
 CLI_DEFAULTS_CONSERVATIVE_DIGEST = (
-    "2132a382e34e65e19cc5db2488c2910c687ed65e240c913c9eff0b11f4d9cf68")
+    "5eb50a952484afe7753af6c704b2e4129c43a81ad0229769ac6bf1d6f6740ff2")
 
 
 def _params(propagation):

@@ -227,6 +227,25 @@ def test_contract_keeps_the_mode_of_a_graph_with_super_nodes(first):
         assert _all_taus(rebuilt) == _all_taus(graph)
 
 
+def test_conservative_tau_covers_collinear_members_after_rounding():
+    # collinear points through the depot, where the bound holds with equality;
+    # one ulp up left tau(16, 20) at 0.05813776741499453, below the distance
+    # 0.05813776741499454 from a member of 16 to one of 20
+    ks = (27, 15, 26, 32, 33, 11, 8, 35, 6, 23, 26, 6, 1, 20, 35)
+    g = Graph.from_instance(Instance("line", 5, 100.0, Customer(0, 0.0, 0.0, 0, 0, 1000, 0),
+                                     tuple(Customer(i, k * 2e-3, k * 1e-3, 1, 0, 900, 0)
+                                           for i, k in enumerate(ks, 1))))
+    merges = [(9, 12), (7, 6), (11, 1), (10, 2), (4, 3), (8, 13), (14, 5)]
+    coarse, supers = g.contract([(m, (0.0, 900.0)) for m in merges], conservative=True)
+    members = {0: (0,), **{s.id: m for s, m in zip(supers, merges)}}
+    assert all(s.radius > 0 for s in supers)          # 16 = (9, 12) is one point twice
+    for a in members:
+        for b in members:
+            exact = max(g.tau(x, y) for x in members[a] for y in members[b])
+            assert coarse.tau(a, b) >= exact, (a, b)
+            assert coarse.taus(a, [b]) == [coarse.tau(a, b)]
+
+
 # ---------------------------------------------------------------------------
 # Graph.taus: one node to many, equal to tau pair by pair
 
