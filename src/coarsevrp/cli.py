@@ -9,7 +9,6 @@ the report module, and the process pool loads with `tune --jobs` > 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -71,21 +70,21 @@ def _space_from(args) -> SearchSpace:
             raise DocumentError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(cfg, dict):
             raise DocumentError("config must be a JSON object")
-    space = SearchSpace()
-    unknown = [k for k in cfg if k not in vars(space)]
+    names = SearchSpace.__slots__
+    unknown = [k for k in cfg if k not in names]
     if unknown:
         raise DocumentError(f"unknown config keys: {', '.join(unknown)} "
-                            f"(known: {', '.join(vars(space))})")
+                            f"(known: {', '.join(names)})")
+    space = SearchSpace()
     values = {}
-    for name, default in vars(space).items():
-        cast = type(default[0])                # float, or str for solvers
+    for name in names:
+        cast = type(getattr(space, name)[0])   # float, or str for solvers
         flag = getattr(args, name)
         if flag is not None:                   # CLI flag wins
             raw = flag.split(",") if flag else []
         elif name in cfg:
             raw = cfg[name]
-        else:
-            values[name] = default
+        else:                                  # SearchSpace's default
             continue
         if not isinstance(raw, list) or not raw:
             raise DocumentError(f"{name} must be a non-empty list")
@@ -198,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     add_propagation(p)
     p.add_argument("--config", help="JSON file with the search space")
-    for f in dataclasses.fields(SearchSpace):
-        p.add_argument("--" + f.name.replace("_", "-"), help="comma-separated override")
+    for name in SearchSpace.__slots__:
+        p.add_argument("--" + name.replace("_", "-"), help="comma-separated override")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_tune)
 

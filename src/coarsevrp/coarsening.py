@@ -10,43 +10,45 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import itemgetter
 
+from ._records import Frozen, _fill, _set
 from .graph import CoarseNode, Graph
 
 PROPAGATION_MODES = ("relaxed", "conservative")
 
 
-@dataclass(frozen=True)
-class CoarseningParams:
-    alpha: float = 0.5            # weight on spatial travel time
-    beta: float = 0.5             # weight on temporal separation
-    p_target: float = 0.5         # stop once customer count <= p_target * original
-    radius_coeff: float = 1.0     # multiplier on the extent-based merge radius
-    propagation: str = "relaxed"  # "conservative" also bounds travel times over members
+class CoarseningParams(Frozen):
+    __slots__ = ("alpha", "beta", "p_target", "radius_coeff", "propagation")
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.alpha, self.beta, self.radius_coeff))):
+    def __init__(self, alpha: float = 0.5,       # weight on spatial travel time
+                 beta: float = 0.5,              # weight on temporal separation
+                 p_target: float = 0.5,          # stop once customer count <= p_target * original
+                 radius_coeff: float = 1.0,      # multiplier on the extent-based merge radius
+                 propagation: str = "relaxed"):  # "conservative" bounds members' travel times too
+        if not all(map(math.isfinite, (alpha, beta, radius_coeff))):
             raise ValueError("alpha, beta and radius_coeff must be finite")
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta == 0:
+        if alpha < 0 or beta < 0 or alpha + beta == 0:
             raise ValueError("alpha/beta must be non-negative and not both zero")
-        if not 0 < self.p_target <= 1:
+        if not 0 < p_target <= 1:
             raise ValueError("p_target must be in (0, 1]")
-        if self.radius_coeff < 0:
+        if radius_coeff < 0:
             raise ValueError("radius_coeff must be >= 0")
-        if self.propagation not in PROPAGATION_MODES:
+        if propagation not in PROPAGATION_MODES:
             raise ValueError(f"propagation must be one of {PROPAGATION_MODES}")
+        _fill(self, (alpha, beta, p_target, radius_coeff, propagation))
 
 
-@dataclass(frozen=True)
-class MergeRecord:
+class MergeRecord(Frozen):
     """One merge: super-node `super_id` stands for the two children named in
     `order`, in service order, and gets the aggregated [ready, due] `window`."""
-    super_id: int
-    order: tuple[int, int]
-    window: tuple[float, float]
+    __slots__ = ("super_id", "order", "window")
+
+    def __init__(self, super_id: int, order: tuple[int, int], window: tuple[float, float]):
+        _set(self, "super_id", super_id)
+        _set(self, "order", order)
+        _set(self, "window", window)
 
 
 # ---------------------------------------------------------------------------

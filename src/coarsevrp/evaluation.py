@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import Frozen, _fill
 from .graph import Graph, recompute_schedule
 from .heuristics import Solution
 
 
-@dataclass(frozen=True)
-class Metrics:
-    total_distance: float
-    num_vehicles: int
-    total_duration: float
-    tw_violations: int
-    capacity_violations: int
-    feasible: bool
+class Metrics(Frozen):
+    __slots__ = ("total_distance", "num_vehicles", "total_duration", "tw_violations",
+                 "capacity_violations", "feasible")
+
+    def __init__(self, total_distance: float, num_vehicles: int, total_duration: float,
+                 tw_violations: int, capacity_violations: int, feasible: bool):
+        _fill(self, (total_distance, num_vehicles, total_duration, tw_violations,
+                     capacity_violations, feasible))
 
 
 LAMBDA_VEHICLES = 1000.0       # cost per vehicle used

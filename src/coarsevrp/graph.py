@@ -3,32 +3,37 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice
 
+from ._records import Frozen, Record, _set
 from .instances import Instance
 
 DEPOT_ID = 0
 
 
-@dataclass(frozen=True)
-class CoarseNode:
+class CoarseNode(Frozen):
     """A depot, customer or super-node of a Graph. A super-node stands for
     the original customers its merge history expands to
     (inflation.expansion_map), its members; it keeps their aggregate
-    attributes, not a list of them."""
-    id: int
-    kind: str           # "depot" | "customer" | "supernode"
-    x: float
-    y: float
-    demand: float
-    service: float
-    ready: float
-    due: float
-    nominal_t: float
-    # no member lies farther than this from (x, y); 0 except for the
-    # super-nodes of a conservative graph
-    radius: float = field(default=0.0, repr=False, kw_only=True)
+    attributes, not a list of them. No member lies farther than `radius` from
+    (x, y); it is 0 except for the super-nodes of a conservative graph."""
+    __slots__ = ("id", "kind", "x", "y", "demand", "service", "ready", "due", "nominal_t",
+                 "radius")
+    _hidden = ("radius",)
+
+    def __init__(self, id: int, kind: str, x: float, y: float, demand: float,
+                 service: float, ready: float, due: float, nominal_t: float, *,
+                 radius: float = 0.0):
+        _set(self, "id", id)
+        _set(self, "kind", kind)            # "depot" | "customer" | "supernode"
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "demand", demand)
+        _set(self, "service", service)
+        _set(self, "ready", ready)
+        _set(self, "due", due)
+        _set(self, "nominal_t", nominal_t)
+        _set(self, "radius", radius)
 
 
 def nominal_visit_time(node) -> float:
@@ -192,22 +197,28 @@ class Graph:
         return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
-@dataclass(frozen=True)
-class StopTiming:
-    arrival: float
-    wait: float
-    service_start: float
-    departure: float
+class StopTiming(Frozen):
+    __slots__ = ("arrival", "wait", "service_start", "departure")
+
+    def __init__(self, arrival: float, wait: float, service_start: float, departure: float):
+        _set(self, "arrival", arrival)
+        _set(self, "wait", wait)
+        _set(self, "service_start", service_start)
+        _set(self, "departure", departure)
 
 
-@dataclass
-class Route:
-    stops: list[int]                       # depot ... depot
-    schedule: list[StopTiming] = field(default_factory=list)
-    load: float = 0.0
-    late_stops: tuple[int, ...] = ()       # positions where service_start > due
-    over_capacity: bool = False
-    distance: float = 0.0                  # the legs' travel times, summed
+class Route(Record):
+    __slots__ = ("stops", "schedule", "load", "late_stops", "over_capacity", "distance")
+
+    def __init__(self, stops: list[int], schedule: list[StopTiming] | None = None,
+                 load: float = 0.0, late_stops: tuple[int, ...] = (),
+                 over_capacity: bool = False, distance: float = 0.0):
+        self.stops = stops                       # depot ... depot
+        self.schedule = [] if schedule is None else schedule
+        self.load = load
+        self.late_stops = late_stops             # positions where service_start > due
+        self.over_capacity = over_capacity
+        self.distance = distance                 # the legs' travel times, summed
 
     @property
     def tw_violations(self) -> int:

@@ -8,18 +8,18 @@ unchanged on coarse graphs whose super-node times bound their members'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 
+from ._records import Record, _fill
 from .graph import DEPOT_ID, Graph, Route, recompute_schedule, walk_schedule
 from .instances import Instance
 
 
-@dataclass
-class Solution:
-    routes: list[Route]
-    solver: str
-    source_graph: str
+class Solution(Record):
+    __slots__ = ("routes", "solver", "source_graph")
+
+    def __init__(self, routes: list[Route], solver: str, source_graph: str):
+        _fill(self, (routes, solver, source_graph))
 
     @property
     def customer_stops(self) -> list[int]:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
+
+from ._records import Frozen, _fill, _set
 
 
 class InstanceError(ValueError):
@@ -16,24 +17,26 @@ class DocumentError(ValueError):
     """Solution document is malformed or missing required fields."""
 
 
-@dataclass(frozen=True)
-class Customer:
-    id: int
-    x: float
-    y: float
-    demand: float
-    ready: float      # earliest service start
-    due: float        # latest service start
-    service: float
+class Customer(Frozen):
+    __slots__ = ("id", "x", "y", "demand", "ready", "due", "service")
+
+    def __init__(self, id: int, x: float, y: float, demand: float, ready: float,
+                 due: float, service: float):
+        _set(self, "id", id)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "demand", demand)
+        _set(self, "ready", ready)         # earliest service start
+        _set(self, "due", due)             # latest service start
+        _set(self, "service", service)
 
 
-@dataclass(frozen=True)
-class Instance:
-    name: str
-    vehicle_count: int
-    capacity: float
-    depot: Customer
-    customers: tuple[Customer, ...]
+class Instance(Frozen):
+    __slots__ = ("name", "vehicle_count", "capacity", "depot", "customers")
+
+    def __init__(self, name: str, vehicle_count: int, capacity: float, depot: Customer,
+                 customers: tuple[Customer, ...]):
+        _fill(self, (name, vehicle_count, capacity, depot, customers))
 
 
 def _numbers(line: str) -> list[float]:

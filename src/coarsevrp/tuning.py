@@ -11,9 +11,9 @@ from __future__ import annotations
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import product
 
+from ._records import Frozen, Record, _fill, _set
 from .coarsening import CoarseningParams, coarsen
 from .evaluation import Metrics, aggregate_metrics, objective_score
 from .graph import Graph, recompute_schedule
@@ -24,46 +24,43 @@ from .instances import PARAM_NAMES, TIMING_NAMES, Instance
 SOLVERS = {"greedy": greedy_solve, "savings": savings_solve}
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    alphas: tuple[float, ...] = (0.1, 0.5, 0.9)
-    betas: tuple[float, ...] = (0.1, 0.5, 0.9)
-    ps: tuple[float, ...] = (0.3, 0.5, 0.7)
-    radius_coeffs: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0)
-    solvers: tuple[str, ...] = tuple(SOLVERS)
+class SearchSpace(Frozen):
+    __slots__ = ("alphas", "betas", "ps", "radius_coeffs", "solvers")
 
-    def __post_init__(self):
-        for name, values in vars(self).items():
+    def __init__(self, alphas: tuple[float, ...] = (0.1, 0.5, 0.9),
+                 betas: tuple[float, ...] = (0.1, 0.5, 0.9),
+                 ps: tuple[float, ...] = (0.3, 0.5, 0.7),
+                 radius_coeffs: tuple[float, ...] = (0.5, 1.0, 1.5, 2.0),
+                 solvers: tuple[str, ...] = tuple(SOLVERS)):
+        for name, values in zip(self.__slots__, (alphas, betas, ps, radius_coeffs, solvers)):
             if not values:
                 raise ValueError(f"search space field {name} is empty")
+            _set(self, name, values)
         # every draw must give valid CoarseningParams, whichever values meet
-        for alpha, beta in product(self.alphas, self.betas):
+        for alpha, beta in product(alphas, betas):
             CoarseningParams(alpha=alpha, beta=beta)
-        for p in self.ps:
+        for p in ps:
             CoarseningParams(p_target=p)
-        for radius_coeff in self.radius_coeffs:
+        for radius_coeff in radius_coeffs:
             CoarseningParams(radius_coeff=radius_coeff)
-        for solver in self.solvers:
+        for solver in solvers:
             if solver not in SOLVERS:
                 raise ValueError(f"unknown solver in search space: {solver!r}")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    trial: int
-    solver: str
-    metrics: Metrics
-    score: float
-    alpha: float | None = None
-    beta: float | None = None
-    p: float | None = None
-    radius_coeff: float | None = None
-    propagation: str | None = None
-    coarse_metrics: Metrics | None = None
-    coarsen_ms: float = 0.0
-    solve_ms: float = 0.0
-    inflate_ms: float = 0.0
-    stops: tuple[tuple[int, ...], ...] = ()    # a trial's final routes, depot to depot
+class TrialResult(Frozen):
+    __slots__ = ("trial", "solver", "metrics", "score", "alpha", "beta", "p", "radius_coeff",
+                 "propagation", "coarse_metrics", "coarsen_ms", "solve_ms", "inflate_ms",
+                 "stops")             # stops: a trial's final routes, depot to depot
+
+    def __init__(self, trial: int, solver: str, metrics: Metrics, score: float,
+                 alpha: float | None = None, beta: float | None = None,
+                 p: float | None = None, radius_coeff: float | None = None,
+                 propagation: str | None = None, coarse_metrics: Metrics | None = None,
+                 coarsen_ms: float = 0.0, solve_ms: float = 0.0, inflate_ms: float = 0.0,
+                 stops: tuple[tuple[int, ...], ...] = ()):
+        _fill(self, (trial, solver, metrics, score, alpha, beta, p, radius_coeff, propagation,
+                     coarse_metrics, coarsen_ms, solve_ms, inflate_ms, stops))
 
     @property
     def timings(self) -> dict:
@@ -73,18 +70,19 @@ class TrialResult:
         return {k: getattr(self, k) for k in PARAM_NAMES}
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(Record):
     """One solve of an instance. A baseline (solve_baseline) has no coarse
     stage: its coarse fields are None and its timings hold only solve_ms."""
-    solution: Solution              # the final routes, on the original graph
-    metrics: Metrics
-    score: float
-    coarse_solution: Solution | None = None
-    coarse_graph: Graph | None = None
-    coarse_metrics: Metrics | None = None
-    timings: dict = field(default_factory=dict)
-    coarsening: list = field(default_factory=list)   # coarsen's per-round trace
+    __slots__ = ("solution",          # the final routes, on the original graph
+                 "metrics", "score", "coarse_solution", "coarse_graph", "coarse_metrics",
+                 "timings", "coarsening")   # coarsening: coarsen's per-round trace
+
+    def __init__(self, solution: Solution, metrics: Metrics, score: float,
+                 coarse_solution: Solution | None = None, coarse_graph: Graph | None = None,
+                 coarse_metrics: Metrics | None = None, timings: dict | None = None,
+                 coarsening: list | None = None):
+        _fill(self, (solution, metrics, score, coarse_solution, coarse_graph, coarse_metrics,
+                     {} if timings is None else timings, [] if coarsening is None else coarsening))
 
 
 def run_pipeline(instance: Instance, params: CoarseningParams, solver: str) -> PipelineResult:

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import os
@@ -378,7 +377,7 @@ def test_parser_defaults_come_from_coarsening_params_and_search_space():
     overrides = [a for a in sub.choices["tune"]._actions
                  if a.help == "comma-separated override"]
     assert [(a.dest, a.option_strings) for a in overrides] == [
-        (f.name, ["--" + f.name.replace("_", "-")]) for f in dataclasses.fields(SearchSpace)]
+        (name, ["--" + name.replace("_", "-")]) for name in SearchSpace.__slots__]
 
 
 def test_tune_bad_config_is_validation_error(tmp_path, instance_file, capsys):
@@ -587,6 +586,9 @@ def test_commands_import_only_what_they_run(tmp_path, instance_file):
     assert "coarsevrp.tuning" in solve and "csv" in tune      # loads are seen
     assert deferred.isdisjoint(solve) and deferred.isdisjoint(baseline)
     assert pool.isdisjoint(tune)
+    # the records are plain __slots__ classes: no command loads dataclasses
+    for loaded in (solve, baseline, tune):
+        assert {"dataclasses", "inspect"}.isdisjoint(loaded)
 
 
 # sha256 of every file the CLI writes, and of what it prints, on two fixed
