@@ -28,13 +28,14 @@ def _summary_line(tag: str, metrics, score: float) -> str:
 
 
 def _write_result(args, instance, out, tag: str, params_doc: dict, suffix: str) -> int:
-    """Print a run's summary line, write its solution document to --out or
-    to the instance's stem + suffix, and say where."""
-    print(_summary_line(tag, out.metrics, out.score))
+    """Write a run's solution document to --out or to the instance's stem +
+    suffix, then print its summary line and where it went; the document is
+    written first, so a closed stdout still leaves it."""
     doc = build_solution_document(out.solution, instance, out.metrics, params_doc,
                                   seed=args.seed, timings=out.timings)
     out_path = args.out or Path(Path(args.instance).stem + suffix)
     write_solution(doc, out_path)
+    print(_summary_line(tag, out.metrics, out.score))
     print(f"wrote {out_path}")
     return 0
 

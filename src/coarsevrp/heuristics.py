@@ -8,6 +8,7 @@ unchanged on coarse graphs whose super-node times bound their members'.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from operator import itemgetter
 
 from ._records import Record, _fill
@@ -91,8 +92,12 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     reversals), and only when the merged route fits capacity and introduces
     no new time-window violation.
 
-    The n(n-1)/2 pairs are listed row by row from Graph.taus and ordered by
-    one stable sort on the savings value alone, so ties keep (i, j) order.
+    The pairs are listed row by row from Graph.taus and ordered by one
+    stable sort on the savings value alone, so ties keep (i, j) order. A
+    pair whose two demands alone exceed the capacity is never listed: no
+    route holding both could ever fit, so the merges are those of the full
+    n(n-1)/2 list. Rows where every partner fits, as on a customer graph
+    whose largest two demands fit one vehicle, list all their pairs.
     A merge leaves the front route's schedule as it is, so testing it walks
     only the back route, from the front route's last departure, and costs
     O(length of the back route); Route objects are built for the final
@@ -100,16 +105,21 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     """
     ids = graph.customer_ids()
     homes = graph.taus(DEPOT_ID, ids)                   # each depot leg once
+    demands = [graph.node(c).demand for c in ids]
+    top = max(demands, default=0.0)
     pairs = []
     for k, i in enumerate(ids):
-        rest = ids[k + 1:]
+        rest, hs, di = ids[k + 1:], homes[k + 1:], demands[k]
+        if di + top > capacity:                         # not every j fits beside i
+            fits = [not di + d > capacity for d in demands[k + 1:]]
+            rest, hs = list(compress(rest, fits)), list(compress(hs, fits))
         hi = homes[k]
         pairs += [(-(hi + hj - t), i, j)
-                  for j, hj, t in zip(rest, homes[k + 1:], graph.taus(i, rest))]
+                  for j, hj, t in zip(rest, hs, graph.taus(i, rest))]
     pairs.sort(key=itemgetter(0))
     routes = {k: [c] for k, c in enumerate(ids)}        # interior stops only
     route_of = {c: k for k, c in enumerate(ids)}
-    loads = {k: graph.node(c).demand for k, c in enumerate(ids)}
+    loads = dict(enumerate(demands))
     late = {}        # late interior stops
     ends = {}        # departure from the last interior stop
     viols = {}       # late stops, depot return included

@@ -47,6 +47,22 @@ def test_solve_writes_document(tmp_path, instance_file, capsys):
     assert sorted(stops) == list(range(1, 21))
 
 
+class ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_solve_writes_its_document_before_printing_to_a_closed_pipe(
+        tmp_path, instance_file, monkeypatch, capsys):
+    out = tmp_path / "sol.json"
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["solve", str(instance_file), "-o", str(out)]) == 3
+    assert "Broken pipe" in capsys.readouterr().err
+    doc = read_solution(out)
+    stops = [s["node_id"] for r in doc["routes"] for s in r["stops"] if s["node_id"] != 0]
+    assert sorted(stops) == list(range(1, 21))
+
+
 def test_solve_document_is_one_line_of_sorted_ascii_json(tmp_path):
     path, out = tmp_path / "inst.txt", tmp_path / "sol.json"
     path.write_text(write_solomon(gen.random_instance(55, 20, name="Café n°20")),

@@ -106,11 +106,36 @@ def test_savings_merges_compatible_pair():
     assert sol.solver == "savings"
 
 
-def test_savings_blocked_by_capacity():
-    inst = make_instance([(10, 0, 60, 0, 900, 0), (12, 0, 60, 0, 900, 0)],
+@pytest.mark.parametrize("demand, routes", [(60, 2), (40, 1)], ids=["over", "exactly"])
+def test_savings_blocked_by_capacity(demand, routes):
+    # 60 + 60 exceeds the capacity; 60 + 40 fills it exactly, so the pair merges
+    inst = make_instance([(10, 0, 60, 0, 900, 0), (12, 0, demand, 0, 900, 0)],
                          capacity=100)
     sol = savings_solve(Graph.from_instance(inst), inst.capacity)
-    assert len(sol.routes) == 2
+    assert len(sol.routes) == routes
+
+
+class LegCountingGraph(Graph):
+    """A Graph that records every (from, to) travel time it is asked for."""
+
+    def tau(self, a, b):
+        self.asked.append((a, b))
+        return super().tau(a, b)
+
+    def taus(self, a, bs):
+        bs = list(bs)
+        self.asked += [(a, b) for b in bs]
+        return super().taus(a, bs)
+
+
+def test_savings_asks_no_leg_between_customers_that_cannot_share_a_vehicle():
+    inst = make_instance([(10, 0, 60, 0, 900, 0), (12, 0, 70, 0, 900, 0),
+                          (0, 11, 55, 0, 900, 0), (-9, 3, 80, 0, 900, 0)], capacity=100)
+    g = LegCountingGraph.from_instance(inst)
+    g.asked = []
+    sol = savings_solve(g, inst.capacity)
+    assert len(sol.routes) == 4
+    assert g.asked and all(DEPOT_ID in leg for leg in g.asked)
 
 
 def test_savings_blocked_by_time_windows():
