@@ -161,16 +161,16 @@ _WINDOW_MARGIN = 1e-6
 
 
 def _sorted_rows(graph: Graph, params: CoarseningParams, rho: float):
-    """The customers as (x, y, nominal_t, id) rows sorted on one axis, x, y
-    or nominal time, whichever window (rho/alpha or rho/beta) covers the
-    smallest share of its values' spread. Returns (rows, keys, weight): the
-    rows, their values on that axis and its weight, alpha or beta. No rows
-    when rho <= 0 or fewer than two customers remain."""
+    """The customers as (x, y, nominal_t, id, (x, y)) rows sorted on one
+    axis, x, y or nominal time, whichever window (rho/alpha or rho/beta)
+    covers the smallest share of its values' spread. Returns (rows, keys,
+    weight): the rows, their values on that axis and its weight, alpha or
+    beta. No rows when rho <= 0 or fewer than two customers remain."""
     nodes = graph.customers
     weights = (params.alpha, params.alpha, params.beta)
     if rho <= 0 or len(nodes) < 2:
         return [], [], params.alpha
-    rows = [(n.x, n.y, n.nominal_t, n.id) for n in nodes]
+    rows = [(n.x, n.y, n.nominal_t, n.id, (n.x, n.y)) for n in nodes]
 
     def share(axis):                    # of the axis's spread one window covers
         values = [row[axis] for row in rows]
@@ -196,12 +196,17 @@ def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, end
     positions. The weight from the two positions is exact unless the graph
     is conservative, whose travel times add the two nodes' covering radii;
     then it is a lower bound, so only then are the pairs it keeps weighed
-    again with Graph.tau. O(1) a pair."""
-    alpha, beta, hypot = params.alpha, params.beta, math.hypot
+    again with Graph.tau. O(1) a pair.
+
+    The distance is math.dist of the rows' points, bit for bit the
+    math.hypot(ax - bx, ay - by) of Graph.tau: CPython's two functions take
+    the same absolute coordinate differences, rounded once each, to the
+    same vector_norm (tests/test_coarsening.py checks it)."""
+    alpha, beta, dist = params.alpha, params.beta, math.dist
     pairs = [(w, i, j) if i < j else (w, j, i)
-             for (ax, ay, at, i), lo, hi in zip(rows, starts, ends)
-             for bx, by, bt, j in rows[lo:hi]
-             if (w := alpha * hypot(ax - bx, ay - by) + beta * abs(at - bt)) <= rho]
+             for (_, _, at, i, pa), lo, hi in zip(rows, starts, ends)
+             for _, _, bt, j, pb in rows[lo:hi]
+             if (w := alpha * dist(pa, pb) + beta * abs(at - bt)) <= rho]
     if graph.conservative:
         tau, node = graph.tau, graph.node
         pairs = [(w, i, j) for _, i, j in pairs

@@ -1,4 +1,4 @@
-"""Constructive route builders and a small exact oracle.
+"""Constructive route builders.
 
 Both heuristics work on any Graph (original or coarsened) and only need the
 vehicle capacity; they never assume Euclidean travel times, so they run
@@ -7,13 +7,11 @@ unchanged on coarse graphs whose super-node times bound their members'.
 
 from __future__ import annotations
 
-import math
 from itertools import compress
 from operator import itemgetter
 
 from ._records import Record, _fill
 from .graph import DEPOT_ID, Graph, Route, recompute_schedule, walk_schedule
-from .instances import Instance
 
 
 class Solution(Record):
@@ -78,11 +76,6 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
     return Solution(routes, "greedy", graph.name)
 
 
-def savings_value(graph: Graph, i: int, j: int) -> float:
-    """Distance saved by chaining i and j instead of two depot round trips."""
-    return graph.tau(DEPOT_ID, i) + graph.tau(DEPOT_ID, j) - graph.tau(i, j)
-
-
 def savings_solve(graph: Graph, capacity: float) -> Solution:
     """Parallel savings construction adapted to time windows.
 
@@ -98,10 +91,14 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     route holding both could ever fit, so the merges are those of the full
     n(n-1)/2 list. Rows where every partner fits, as on a customer graph
     whose largest two demands fit one vehicle, list all their pairs.
-    A merge leaves the front route's schedule as it is, so testing it walks
-    only the back route, from the front route's last departure, and costs
-    O(length of the back route); Route objects are built for the final
-    routes only.
+    The route state lives in lists, by route number and, for each
+    customer's route and route load, by node id. So the capacity test,
+    which rejects most pairs once routes have grown, reads two loads and
+    no route; it runs before the same-route test and skips the same pairs,
+    since a pair within one route fails either. A merge leaves the front
+    route's schedule as it is, so testing it walks only the back route,
+    from the front route's last departure, and costs O(length of the back
+    route); Route objects are built for the final routes only.
     """
     ids = graph.customer_ids()
     homes = graph.taus(DEPOT_ID, ids)                   # each depot leg once
@@ -117,20 +114,22 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         pairs += [(-(hi + hj - t), i, j)
                   for j, hj, t in zip(rest, hs, graph.taus(i, rest))]
     pairs.sort(key=itemgetter(0))
-    routes = {k: [c] for k, c in enumerate(ids)}        # interior stops only
-    route_of = {c: k for k, c in enumerate(ids)}
-    loads = dict(enumerate(demands))
-    late = {}        # late interior stops
-    ends = {}        # departure from the last interior stop
-    viols = {}       # late stops, depot return included
+    size = max(ids, default=0) + 1      # coarse ids have gaps and run past n
+    routes = [[c] for c in ids]         # interior stops by route; None once merged away
+    route_of = [0] * size               # by node id
+    load_of = [0.0] * size              # each customer's route load, by node id
+    late = [0] * len(ids)               # late interior stops
+    ends = [0.0] * len(ids)             # departure from the last interior stop
+    viols = [0] * len(ids)              # late stops, depot return included
     for k, c in enumerate(ids):
+        route_of[c], load_of[c] = k, demands[k]
         late[k], ends[k] = walk_schedule(graph, DEPOT_ID, 0.0, (c,))
         viols[k] = late[k] + walk_schedule(graph, c, ends[k], (DEPOT_ID,))[0]
     for _, i, j in pairs:
+        if load_of[i] + load_of[j] > capacity:
+            continue
         ri, rj = route_of[i], route_of[j]
         if ri == rj:
-            continue
-        if loads[ri] + loads[rj] > capacity:
             continue
         if routes[ri][-1] == i and routes[rj][0] == j:
             front, back = ri, rj
@@ -138,109 +137,21 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
             front, back = rj, ri
         else:
             continue
-        tail = routes[back]
-        back_late, end = walk_schedule(graph, routes[front][-1], ends[front], tail)
+        head, tail = routes[front], routes[back]
+        back_late, end = walk_schedule(graph, head[-1], ends[front], tail)
         merged_late = late[front] + back_late
         merged_viols = merged_late + walk_schedule(graph, tail[-1], end, (DEPOT_ID,))[0]
         if merged_viols > viols[front] + viols[back]:
             continue
-        routes[front] += tail
-        loads[front] += loads[back]
+        load = load_of[head[0]] + load_of[tail[0]]
+        head += tail
         late[front], ends[front], viols[front] = merged_late, end, merged_viols
         for c in tail:
             route_of[c] = front
-        del routes[back], loads[back], late[back], ends[back], viols[back]
-    final = [recompute_schedule([DEPOT_ID, *routes[k], DEPOT_ID], graph, capacity)
-             for k in sorted(routes)]
+        for c in head:
+            load_of[c] = load
+        routes[back] = None
+    final = [recompute_schedule([DEPOT_ID, *stops, DEPOT_ID], graph, capacity)
+             for stops in routes if stops is not None]
     return Solution(final, "savings", graph.name)
 
-
-# ---------------------------------------------------------------------------
-# exact oracle for tiny instances
-
-def brute_force_optimal(instance: Instance, max_customers: int = 9) -> Solution | None:
-    """Exhaustive minimum-distance solution with hard feasibility.
-
-    Enumerates, per customer subset, the cheapest service order that respects
-    every time window (depot return included) and the capacity, then picks
-    the cheapest partition of all customers into such routes by dynamic
-    programming over subsets. Returns None when no fully feasible solution
-    exists. Deliberately refuses more than `max_customers` customers.
-
-    The time simulation here is intentionally written out rather than shared
-    with the Route machinery, so it can serve as an independent check.
-    """
-    n = len(instance.customers)
-    if n > max_customers:
-        raise ValueError(f"brute force capped at {max_customers} customers, got {n}")
-    if n == 0:
-        return Solution([], "brute-force", instance.name)
-    pts = [instance.depot, *instance.customers]
-    dist = [[math.hypot(a.x - b.x, a.y - b.y) for b in pts] for a in pts]
-    ready = [c.ready for c in pts]
-    due = [c.due for c in pts]
-    serv = [c.service for c in pts]
-    demand = [c.demand for c in pts]
-
-    best_route: dict[int, tuple[float, tuple[int, ...]]] = {}
-
-    def explore(mask_left, last, time, cost, path, best):
-        # best is a 1-element list holding (cost, path) found so far for this subset
-        if cost >= best[0][0]:
-            return
-        if mask_left == 0:
-            t = time + dist[last][0]
-            start = max(t, ready[0])
-            if start <= due[0] and cost + dist[last][0] < best[0][0]:
-                best[0] = (cost + dist[last][0], path)
-            return
-        m = mask_left
-        while m:
-            low = m & -m
-            c = low.bit_length()   # customer ids are 1-based; bit k-1 <-> id k
-            m ^= low
-            t = time + dist[last][c]
-            start = max(t, ready[c])
-            if start > due[c]:
-                continue
-            explore(mask_left ^ low, c, start + serv[c], cost + dist[last][c],
-                    path + (c,), best)
-
-    full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        total = sum(demand[k + 1] for k in range(n) if mask >> k & 1)
-        if total > instance.capacity:
-            continue
-        best = [(math.inf, ())]
-        explore(mask, 0, 0.0, 0.0, (), best)
-        if best[0][0] < math.inf:
-            best_route[mask] = best[0]
-
-    INF = math.inf
-    part_cost = [INF] * (full + 1)
-    part_pick = [0] * (full + 1)
-    part_cost[0] = 0.0
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        sub = mask
-        while sub:
-            if sub & low and sub in best_route:
-                rest = part_cost[mask ^ sub]
-                cand = best_route[sub][0] + rest
-                if cand < part_cost[mask]:
-                    part_cost[mask] = cand
-                    part_pick[mask] = sub
-            sub = (sub - 1) & mask
-    if part_cost[full] == INF:
-        return None
-
-    graph = Graph.from_instance(instance)
-    stops_lists = []
-    mask = full
-    while mask:
-        sub = part_pick[mask]
-        stops_lists.append([DEPOT_ID, *best_route[sub][1], DEPOT_ID])
-        mask ^= sub
-    stops_lists.reverse()
-    routes = [recompute_schedule(s, graph, instance.capacity) for s in stops_lists]
-    return Solution(routes, "brute-force", instance.name)

@@ -20,8 +20,7 @@ from coarsevrp.coarsening import (CoarseningParams, aggregate_window, coarsen,
 from coarsevrp.cli import main
 from coarsevrp.evaluation import Metrics, evaluate, objective_score
 from coarsevrp.graph import CoarseNode, Graph
-from coarsevrp.heuristics import (brute_force_optimal, greedy_solve,
-                                  savings_solve, savings_value)
+from coarsevrp.heuristics import greedy_solve, savings_solve
 from coarsevrp.inflation import expansion_map, inflate
 from coarsevrp.instances import (read_solution, trial_row, write_solomon,
                                  write_trials_csv)
@@ -29,6 +28,7 @@ from coarsevrp.report import build_report, format_report
 from coarsevrp.tuning import SearchSpace, random_search, run_baseline, run_pipeline, solve_baseline
 
 import gen
+from oracle import brute_force_optimal, savings_value
 
 TOL = 1e-9
 

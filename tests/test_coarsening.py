@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings
@@ -528,6 +529,23 @@ def test_pruned_scan_equals_full_scan(case):
     assert candidates == _full_scan(graph, params, rho)
     n = graph.customer_count
     assert len(candidates) <= scanned <= n * (n - 1) // 2
+
+
+_COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),   # subnormal
+    st.floats(min_value=1e299, max_value=1e301), st.floats(min_value=-1e301, max_value=-1e299),
+    st.integers(min_value=-(2**53 - 1), max_value=2**53 - 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ax=_COORDINATES, ay=_COORDINATES, bx=_COORDINATES, by=_COORDINATES)
+def test_dist_of_points_is_hypot_of_differences(ax, ay, bx, by):
+    # _weigh takes a pair's distance from math.dist of the rows' points, and
+    # Graph.tau from math.hypot of the coordinate differences: the two agree
+    # bit for bit, subnormal, huge and integer coordinates included
+    got, want = math.dist((ax, ay), (bx, by)), math.hypot(ax - bx, ay - by)
+    assert got.hex() == want.hex(), (got, want)
 
 
 @pytest.mark.parametrize("weight", [0.3, 0.5, 0.7, 0.9, 1.0])

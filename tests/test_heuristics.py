@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from coarsevrp.coarsening import PROPAGATION_MODES, CoarseningParams, coarsen
 from coarsevrp.evaluation import evaluate
 from coarsevrp.graph import DEPOT_ID, Graph, recompute_schedule
-from coarsevrp.heuristics import (Solution, brute_force_optimal, greedy_solve,
-                                  savings_solve, savings_value)
+from coarsevrp.heuristics import Solution, greedy_solve, savings_solve
 from coarsevrp.instances import Customer, Instance
 
 import gen
+from oracle import brute_force_optimal, savings_value
 
 TOL = 1e-9
 
@@ -289,13 +290,17 @@ def reference_savings_solve(graph, capacity):
 
 @settings(max_examples=150, deadline=None)
 @given(inst=st.one_of(gen.windowed_instances(),
-                     gen.drawn_instances(max_customers=14, bound=100.0)),
+                     gen.drawn_instances(max_customers=14, bound=100.0),
+                     st.builds(partial(gen.random_instance, horizon=4000, family="mixed"),
+                               st.integers(0, 10**6), st.integers(1, 40))),
        alpha=st.sampled_from([0.3, 0.9]), radius=st.sampled_from([1.0, 4.0]),
        propagation=st.sampled_from(PROPAGATION_MODES))
 def test_savings_equals_reference(inst, alpha, radius, propagation):
     # fractional coordinates, windows, service times and demands, with late
     # stops and late depot returns; the conservative coarse graph adds its
-    # super-nodes' covering radii to their travel times
+    # super-nodes' covering radii to their travel times. Wide-horizon mixed
+    # instances are bound by capacity, so their routes grow long and many
+    # merges rewrite each customer's route load
     g = Graph.from_instance(inst)
     coarse, _ = coarsen(g, CoarseningParams(alpha=alpha, beta=1 - alpha, p_target=0.3,
                                             radius_coeff=radius, propagation=propagation))
