@@ -155,8 +155,8 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # sorted. The float rounding in those bounds is a few ulps relative, and
 # rounding key + window is monotone, so widening the window by _WINDOW_MARGIN,
 # far more than those ulps, keeps every candidate. The same holds at any
-# radius, so every pair of weight <= rho/2 lies within the window of rho/2:
-# that is the inner ring of `coarsen`.
+# radius: every pair of weight <= r lies in the window of r, so `coarsen` can
+# match ring by ring, r = rho/2 and then rho, in one loop.
 _WINDOW_MARGIN = 1e-6
 
 
@@ -239,18 +239,18 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     Each round greedily matches the customer pairs within the merge radius
     rho in order of spatio-temporal distance, then applies every matched
     merge. The matching takes each node once and never the depot, and skips
-    infeasible orders and empty conservative windows. It runs in two rings
-    over the customers sorted on the axis whose window of rho covers the
-    smallest share of its spread (_sorted_rows), a sweep that drops no pair
-    within rho (see _WINDOW_MARGIN). Ring 1 weighs each customer against the
-    next ones within the window of rho/2 and matches the pairs of weight
-    <= rho/2, all of which lie in that window. Ring 2 weighs the outer half
-    of the window, only between customers still unmatched, and matches those
-    pairs together with ring 1's pairs of weight in (rho/2, rho] whose ends
-    are both still unmatched. Every pair is weighed at most once, and the
-    merges are those of one greedy pass over all pairs within rho in
-    (w, i, j) order: a pair with a matched end would have been skipped. A
-    round costs O(n log n + pairs in the window).
+    infeasible orders and empty conservative windows. It runs as one loop
+    over two rings, r = rho/2 and then rho, on the customers sorted on the
+    axis whose window of rho covers the smallest share of its spread
+    (_sorted_rows), a sweep that drops no pair within rho (see
+    _WINDOW_MARGIN). Each pass keeps the rows still unmatched, weighs each
+    against the next ones from the end of its previous window to the end of
+    its window of r, so no pair is weighed twice, and matches, in (w, i, j)
+    order, the pairs weighed so far of weight <= r whose ends are both
+    unmatched; the heavier pairs carry to the next pass. Every pair of weight
+    <= r lies in the window of r, so the merges are those of one greedy pass
+    over all pairs within rho in (w, i, j) order: a pair with a matched end
+    would have been skipped. A round costs O(n log n + pairs in the window).
 
     propagation="relaxed" widens merged windows and measures travel from
     midpoints; "conservative" tightens them and contracts to a conservative
@@ -262,7 +262,7 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     Returns (coarse_graph, history), history being the MergeRecords oldest
     first; `trace`, when given, collects one summary dict per round, and the
     last one gets "stop": "target" or "stalled". A round's "pairs_scanned"
-    counts the pairs both rings weighed from positions, and "candidates"
+    counts the pairs both passes weighed from positions, and "candidates"
     those of them within rho.
     """
     n0 = graph.customer_count
@@ -271,30 +271,27 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     while graph.customer_count > params.p_target * n0:
         rounds += 1
         rho = radius_threshold(graph, params.radius_coeff)
-        half = rho / 2
         rows, keys, weight = _sorted_rows(graph, params, rho)
-        # ring 1: each row against the next ones within the window of rho/2
-        starts = range(1, len(rows) + 1)
-        mids = _window_ends(keys, weight, half, starts)
-        inner, scanned = _weigh(graph, params, rho, rows, starts, mids)
-        used = set()
-        merges = []
-        _match(graph, params, sorted([p for p in inner if p[0] <= half]), used, merges)
-        # ring 2: the rest of the window, between rows still unmatched; the
-        # first unmatched row at or after rows[k] is unmatched row free_before[k]
-        free = [row[3] not in used for row in rows]
-        free_before = list(accumulate(free, initial=0))
-        starts = [free_before[k] for k in compress(mids, free)]
-        outer, outer_scanned = _weigh(
-            graph, params, rho, list(compress(rows, free)), starts,
-            _window_ends(list(compress(keys, free)), weight, rho, starts))
-        _match(graph, params, sorted([p for p in inner if p[0] > half and p[1] not in used
-                                      and p[2] not in used] + outer),
-               used, merges)
+        ends = range(1, len(rows) + 1)  # each row's window so far ends just past it
+        used, merges, carried = set(), [], []
+        scanned = candidates = 0
+        for radius in (rho / 2, rho):
+            # the rows still unmatched; the first unmatched row at or after
+            # rows[k] is unmatched row free_before[k]
+            free = [row[3] not in used for row in rows]
+            free_before = list(accumulate(free, initial=0))
+            rows, keys = list(compress(rows, free)), list(compress(keys, free))
+            starts = [free_before[k] for k in compress(ends, free)]
+            ends = _window_ends(keys, weight, radius, starts)
+            pairs, weighed = _weigh(graph, params, rho, rows, starts, ends)
+            scanned += weighed
+            candidates += len(pairs)
+            pairs += [p for p in carried if p[1] not in used and p[2] not in used]
+            _match(graph, params, sorted([p for p in pairs if p[0] <= radius]), used, merges)
+            carried = [p for p in pairs if p[0] > radius]
         if trace is not None:
             trace.append({"round": rounds, "nodes_before": graph.customer_count,
-                          "pairs_scanned": scanned + outer_scanned,
-                          "candidates": len(inner) + len(outer),
+                          "pairs_scanned": scanned, "candidates": candidates,
                           "merges_applied": len(merges), "rho": rho})
         if not merges:
             break

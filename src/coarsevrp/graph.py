@@ -208,14 +208,13 @@ class StopTiming(Frozen):
 
 
 class Route(Record):
-    __slots__ = ("stops", "schedule", "load", "late_stops", "over_capacity", "distance")
+    __slots__ = ("stops", "schedule", "late_stops", "over_capacity", "distance")
 
     def __init__(self, stops: list[int], schedule: list[StopTiming] | None = None,
-                 load: float = 0.0, late_stops: tuple[int, ...] = (),
-                 over_capacity: bool = False, distance: float = 0.0):
+                 late_stops: tuple[int, ...] = (), over_capacity: bool = False,
+                 distance: float = 0.0):
         self.stops = stops                       # depot ... depot
         self.schedule = [] if schedule is None else schedule
-        self.load = load
         self.late_stops = late_stops             # positions where service_start > due
         self.over_capacity = over_capacity
         self.distance = distance                 # the legs' travel times, summed
@@ -235,8 +234,9 @@ class Route(Record):
 def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Route:
     """Forward-simulate a depot-to-depot stop sequence.
 
-    The vehicle departs the depot at time 0. At each stop: wait if early
-    (wait = max(0, ready - arrival)), then service_start = arrival + wait and
+    The vehicle departs the depot at time 0. At each stop service_start =
+    max(arrival, ready), the rule of greedy_solve's time test, so a vehicle
+    that waits starts exactly at ready; wait = service_start - arrival and
     departure = service_start + service. A stop is late when its
     service_start exceeds its due time; late stops are recorded, never
     rejected. With a capacity, the route is additionally flagged when total
@@ -256,16 +256,15 @@ def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Ro
         leg = graph.tau(stops[pos - 1], stops[pos])
         distance += leg
         arrival = t + leg
-        wait = max(0.0, node.ready - arrival)
-        service_start = arrival + wait
+        service_start = max(arrival, node.ready)
         departure = service_start + node.service
-        schedule.append(StopTiming(arrival, wait, service_start, departure))
+        schedule.append(StopTiming(arrival, service_start - arrival, service_start, departure))
         if service_start > node.due:
             late.append(pos)
         load += node.demand
         t = departure
     over = capacity is not None and load > capacity
-    return Route(stops, schedule, load, tuple(late), over, distance)
+    return Route(stops, schedule, tuple(late), over, distance)
 
 
 def walk_schedule(graph: Graph, prev: int, t: float, stops) -> tuple[int, float]:
@@ -276,7 +275,7 @@ def walk_schedule(graph: Graph, prev: int, t: float, stops) -> tuple[int, float]
     for c in stops:
         node = graph.node(c)
         arrival = t + graph.tau(prev, c)
-        start = arrival + max(0.0, node.ready - arrival)
+        start = max(arrival, node.ready)
         if start > node.due:
             late += 1
         t = start + node.service

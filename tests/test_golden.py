@@ -41,6 +41,13 @@ PIPELINE_DIGESTS = {
         "125bfa19c5217d2e1ceecb607d047ffb28b7e51428f5f84eb1cdca482959d6d9",
 }
 
+TRACE_DIGESTS = {
+    "relaxed":
+        "0df0c69d7dd105ae075cad45e74a643fbcb10c38d36f6e917b75c2574f0b3a81",
+    "conservative":
+        "0e590d591f7f9e28c3aee0bdb68e9fad32328a379c3f7ed4298d3e7a9e7b2fd6",
+}
+
 CLI_DEFAULTS_CONSERVATIVE_DIGEST = (
     "5eb50a952484afe7753af6c704b2e4129c43a81ad0229769ac6bf1d6f6740ff2")
 
@@ -67,6 +74,14 @@ def coarsen_digest(propagation) -> str:
     return _digest(lines)
 
 
+def trace_digest(propagation) -> str:
+    trace = []
+    for seed, n, family in COARSEN_CASES:
+        coarsen(Graph.from_instance(gen.random_instance(seed, n, family=family)),
+                _params(propagation), trace=trace)
+    return _digest(map(repr, trace))
+
+
 def pipeline_digest(params, solver) -> str:
     lines = []
     for seed, n, family in COARSEN_CASES:
@@ -80,6 +95,11 @@ def pipeline_digest(params, solver) -> str:
 @pytest.mark.parametrize("propagation", MODES)
 def test_coarse_graph_and_history_golden(propagation):
     assert coarsen_digest(propagation) == COARSEN_DIGESTS[propagation]
+
+
+@pytest.mark.parametrize("propagation", MODES)
+def test_coarsening_trace_golden(propagation):
+    assert trace_digest(propagation) == TRACE_DIGESTS[propagation]
 
 
 @pytest.mark.parametrize("solver", ["greedy", "savings"])

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsevrp.coarsening import CoarseningParams, coarsen
-from coarsevrp.graph import CoarseNode, Graph, nominal_visit_time, recompute_schedule
+from coarsevrp.graph import (CoarseNode, Graph, nominal_visit_time, recompute_schedule,
+                             walk_schedule)
+from coarsevrp.heuristics import greedy_solve, savings_solve
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -133,6 +135,21 @@ def test_waiting_only_when_early():
         if st.wait > 0:
             assert st.arrival < node_.ready
             assert abs(st.service_start - node_.ready) < TOL
+
+
+def test_a_waiting_stop_starts_exactly_at_ready():
+    # the vehicle arrives at 3.16 and waits for a window that is the single
+    # instant r; arrival + (r - arrival) rounds one ulp past r, so only a
+    # start of max(arrival, r) is on time
+    r = 7.273238618387272
+    g = Graph.from_instance(two_point_instance(1, 3, ready=r, due=r, service=0,
+                                               horizon=100.0))
+    for solve in (greedy_solve, savings_solve):
+        [route] = solve(g, 100.0).routes
+        assert route.stops == [0, 1, 0]
+        assert route.late_stops == ()
+        assert route.schedule[1].service_start == r
+    assert walk_schedule(g, 0, 0.0, (1,))[0] == 0
 
 
 # ---------------------------------------------------------------------------
