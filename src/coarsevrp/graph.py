@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 
 from ._records import Frozen, Record, _set
 from .instances import Instance
@@ -86,6 +86,7 @@ class Graph:
         self._nodes = nodes
         self.conservative = any(n.radius for n in nodes.values())
         self.name = name
+        self._points = None                 # {id: (x, y)}, built on first use by taus
 
     @classmethod
     def from_instance(cls, instance: Instance) -> "Graph":
@@ -120,17 +121,28 @@ class Graph:
 
     def taus(self, a: int, bs) -> list[float]:
         """Travel times from a to each id of the sequence bs, equal to
-        [self.tau(a, b) for b in bs], computed in one pass."""
-        nodes = self._nodes
-        p = nodes[a]
-        ax, ay = p.x, p.y
-        hypot = math.hypot
+        [self.tau(a, b) for b in bs] bit for bit, computed in one pass.
+
+        On a graph without radii the distances come from math.dist over the
+        graph's point table, {id: (x, y)} in self._points, which the first
+        call builds and later calls reuse; math.dist of two points equals
+        math.hypot of their differences. Graph.contract makes a new graph,
+        which builds its own table. A conservative graph reads its node
+        records, as it needs their radii too: one pass over them measured
+        faster than the table plus a second pass for the radii.
+        """
         if self.conservative:
-            r = p.radius                      # _widen inline, as this loop is hot
+            nodes = self._nodes
+            p = nodes[a]
+            ax, ay, r = p.x, p.y, p.radius
+            hypot = math.hypot                # _widen inline, as this loop is hot
             return [(d + s) * (1 + 2**-49) + 2**-1070 if (s := r + q.radius) else d
                     for q in map(nodes.__getitem__, bs)
                     for d in (hypot(ax - q.x, ay - q.y),)]
-        return [hypot(ax - q.x, ay - q.y) for q in map(nodes.__getitem__, bs)]
+        points = self._points
+        if points is None:
+            points = self._points = {nid: (n.x, n.y) for nid, n in self._nodes.items()}
+        return list(map(math.dist, repeat(points[a]), map(points.__getitem__, bs)))
 
     def contract(self, merges, conservative: bool = False):
         """Apply one round of disjoint (order, window) merges in list order;
@@ -154,7 +166,8 @@ class Graph:
         (coarsen records it as a MergeRecord), and expansion_map expands a
         super-node through those records alone.
 
-        Nothing is stored for a travel time, so a call costs O(nodes).
+        Nothing is stored for a travel time, so a call costs O(n log n) in
+        the nodes, for sorting their ids.
         """
         if conservative != self.conservative and any(
                 n.kind == "supernode" for n in self._nodes.values()):

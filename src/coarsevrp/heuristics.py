@@ -7,7 +7,7 @@ unchanged on coarse graphs whose super-node times bound their members'.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 
 from ._records import Record, _fill
@@ -90,7 +90,13 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     pair whose two demands alone exceed the capacity is never listed: no
     route holding both could ever fit, so the merges are those of the full
     n(n-1)/2 list. Rows where every partner fits, as on a customer graph
-    whose largest two demands fit one vehicle, list all their pairs.
+    whose largest two demands fit one vehicle, list all their pairs; a row
+    left with no partner, as most rows of a coarse graph are, is skipped
+    without a Graph.taus call. Each row's keys come from one comprehension
+    and its tuples from one zip. The merge loop reads a pair as pair[1] and
+    pair[2], never its key: after the sort the tuples lie scattered in
+    memory, and unpacking a tuple would touch its key's float object as
+    well, one more cache miss per pair.
     The route state lives in lists, by route number and, for each
     customer's route and route load, by node id. So the capacity test,
     which rejects most pairs once routes have grown, reads two loads and
@@ -110,9 +116,11 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         if di + top > capacity:                         # not every j fits beside i
             fits = [not di + d > capacity for d in demands[k + 1:]]
             rest, hs = list(compress(rest, fits)), list(compress(hs, fits))
+        if not rest:
+            continue
         hi = homes[k]
-        pairs += [(-(hi + hj - t), i, j)
-                  for j, hj, t in zip(rest, hs, graph.taus(i, rest))]
+        pairs += zip([-(hi + hj - t) for hj, t in zip(hs, graph.taus(i, rest))],
+                     repeat(i), rest)
     pairs.sort(key=itemgetter(0))
     size = max(ids, default=0) + 1      # coarse ids have gaps and run past n
     routes = [[c] for c in ids]         # interior stops by route; None once merged away
@@ -125,7 +133,8 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         route_of[c], load_of[c] = k, demands[k]
         late[k], ends[k] = walk_schedule(graph, DEPOT_ID, 0.0, (c,))
         viols[k] = late[k] + walk_schedule(graph, c, ends[k], (DEPOT_ID,))[0]
-    for _, i, j in pairs:
+    for pair in pairs:
+        i, j = pair[1], pair[2]
         if load_of[i] + load_of[j] > capacity:
             continue
         ri, rj = route_of[i], route_of[j]

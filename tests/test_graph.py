@@ -283,3 +283,28 @@ def test_taus_equals_tau(inst, data):
             bs = data.draw(st.lists(st.sampled_from(everyone), max_size=20))
             for targets in (bs, everyone):                # the depot is in `everyone`
                 assert graph.taus(a, targets) == [graph.tau(a, b) for b in targets]
+
+
+def _assert_taus_rows_equal_tau(graph):
+    everyone = [0, *graph.customer_ids()]
+    for a in everyone:
+        assert graph.taus(a, everyone) == [graph.tau(a, b) for b in everyone], a
+
+
+def test_each_graph_reads_its_own_point_table():
+    # taus reads a point table that a graph builds on its first call. Build the
+    # parent's first: a table shared with, or copied into, a contracted graph
+    # lacks the super-nodes (and keeps the merged customers); one kept at class
+    # level gives another instance's points to the same ids.
+    g = Graph.from_instance(gen.random_instance(5, 14))
+    _assert_taus_rows_equal_tau(g)
+    ids = g.customer_ids()
+    merges = [((i, j), (0.0, 400.0)) for i, j in zip(ids[0:8:2], ids[1:8:2])]
+    for conservative in (False, True):
+        coarse, supers = g.contract(merges, conservative)
+        assert len(supers) == 4
+        _assert_taus_rows_equal_tau(coarse)
+        again, _ = coarse.contract([((supers[0].id, supers[1].id), (0.0, 400.0))],
+                                   conservative)
+        _assert_taus_rows_equal_tau(again)
+    _assert_taus_rows_equal_tau(Graph.from_instance(gen.random_instance(6, 14)))

@@ -116,17 +116,21 @@ def test_savings_blocked_by_capacity(demand, routes):
     assert len(sol.routes) == routes
 
 
-class LegCountingGraph(Graph):
-    """A Graph that records every (from, to) travel time it is asked for."""
-
-    def tau(self, a, b):
-        self.asked.append((a, b))
-        return super().tau(a, b)
+class TausCountingGraph(Graph):
+    """A Graph that records the (from, to) legs of every taus call."""
 
     def taus(self, a, bs):
         bs = list(bs)
         self.asked += [(a, b) for b in bs]
         return super().taus(a, bs)
+
+
+class LegCountingGraph(TausCountingGraph):
+    """A Graph that records every (from, to) travel time it is asked for."""
+
+    def tau(self, a, b):
+        self.asked.append((a, b))
+        return super().tau(a, b)
 
 
 def test_savings_asks_no_leg_between_customers_that_cannot_share_a_vehicle():
@@ -137,6 +141,22 @@ def test_savings_asks_no_leg_between_customers_that_cannot_share_a_vehicle():
     sol = savings_solve(g, inst.capacity)
     assert len(sol.routes) == 4
     assert g.asked and all(DEPOT_ID in leg for leg in g.asked)
+
+
+def test_savings_asks_each_leg_once():
+    # every pair fits one vehicle, so savings lists all n(n-1)/2 pairs: each
+    # depot leg once, and each unordered pair of customers once
+    inst = gen.random_instance(11, 40, capacity=1000.0)
+    g = TausCountingGraph.from_instance(inst)
+    g.asked = []
+    savings_solve(g, inst.capacity)
+    ids = g.customer_ids()
+    n = len(ids)
+    depot_legs = [b for a, b in g.asked if a == DEPOT_ID]
+    customer_legs = [frozenset(leg) for leg in g.asked if leg[0] != DEPOT_ID]
+    assert sorted(depot_legs) == ids
+    assert len(customer_legs) == n * (n - 1) // 2
+    assert set(customer_legs) == {frozenset(p) for p in combinations(ids, 2)}
 
 
 def test_savings_blocked_by_time_windows():
