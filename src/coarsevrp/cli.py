@@ -59,7 +59,7 @@ def cmd_baseline(args) -> int:
     instance = load_instance(args.instance)
     return _write_result(args, instance, solve_baseline(instance, args.solver),
                          f"{instance.name} [baseline {args.solver}]",
-                         {"solver": args.solver}, ".baseline.json")
+                         {"solver": args.solver}, f".{args.solver}.baseline.json")
 
 
 def _space_from(args) -> SearchSpace:

@@ -156,7 +156,8 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # rounding key + window is monotone, so widening the window by _WINDOW_MARGIN,
 # far more than those ulps, keeps every candidate. The same holds at any
 # radius: every pair of weight <= r lies in the window of r, so `coarsen` can
-# match ring by ring, r = rho/2 and then rho, in one loop.
+# match ring by ring, r = rho/4, rho/2 and then rho, in one loop, and may skip
+# any ring but the last.
 _WINDOW_MARGIN = 1e-6
 
 
@@ -240,17 +241,19 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     rho in order of spatio-temporal distance, then applies every matched
     merge. The matching takes each node once and never the depot, and skips
     infeasible orders and empty conservative windows. It runs as one loop
-    over two rings, r = rho/2 and then rho, on the customers sorted on the
-    axis whose window of rho covers the smallest share of its spread
-    (_sorted_rows), a sweep that drops no pair within rho (see
-    _WINDOW_MARGIN). Each pass keeps the rows still unmatched, weighs each
-    against the next ones from the end of its previous window to the end of
-    its window of r, so no pair is weighed twice, and matches, in (w, i, j)
-    order, the pairs weighed so far of weight <= r whose ends are both
-    unmatched; the heavier pairs carry to the next pass. Every pair of weight
-    <= r lies in the window of r, so the merges are those of one greedy pass
-    over all pairs within rho in (w, i, j) order: a pair with a matched end
-    would have been skipped. A round costs O(n log n + pairs in the window).
+    over the rings r = rho/4, rho/2 and rho, going straight to rho after a
+    pass that matches nothing, so the last pass is always rho, on the
+    customers sorted on the axis whose window of rho covers the smallest
+    share of its spread (_sorted_rows), a sweep that drops no pair within
+    rho (see _WINDOW_MARGIN). Each pass keeps the rows still unmatched,
+    weighs each against the next ones from the end of its previous window
+    to the end of its window of r, so no pair is weighed twice, and
+    matches, in (w, i, j) order, the pairs weighed so far of weight <= r
+    whose ends are both unmatched; the heavier pairs carry to the next
+    pass. Every pair of weight <= r lies in the window of r, so the merges
+    are those of one greedy pass over all pairs within rho in (w, i, j)
+    order: a pair with a matched end would have been skipped. A round
+    costs O(n log n + pairs in the window).
 
     propagation="relaxed" widens merged windows and measures travel from
     midpoints; "conservative" tightens them and contracts to a conservative
@@ -262,7 +265,7 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     Returns (coarse_graph, history), history being the MergeRecords oldest
     first; `trace`, when given, collects one summary dict per round, and the
     last one gets "stop": "target" or "stalled". A round's "pairs_scanned"
-    counts the pairs both passes weighed from positions, and "candidates"
+    counts the pairs its passes weighed from positions, and "candidates"
     those of them within rho.
     """
     n0 = graph.customer_count
@@ -275,7 +278,10 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
         ends = range(1, len(rows) + 1)  # each row's window so far ends just past it
         used, merges, carried = set(), [], []
         scanned = candidates = 0
-        for radius in (rho / 2, rho):
+        matched = True
+        for radius in (rho / 4, rho / 2, rho):
+            if not matched and radius < rho:
+                continue                # a pass that matched nothing goes straight to rho
             # the rows still unmatched; the first unmatched row at or after
             # rows[k] is unmatched row free_before[k]
             free = [row[3] not in used for row in rows]
@@ -287,7 +293,9 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
             scanned += weighed
             candidates += len(pairs)
             pairs += [p for p in carried if p[1] not in used and p[2] not in used]
+            before = len(merges)
             _match(graph, params, sorted([p for p in pairs if p[0] <= radius]), used, merges)
+            matched = len(merges) > before
             carried = [p for p in pairs if p[0] > radius]
         if trace is not None:
             trace.append({"round": rounds, "nodes_before": graph.customer_count,

@@ -39,10 +39,12 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
     capacity, so nothing is silently dropped.
 
     The depot legs come from one Graph.taus call. At each step the
-    unrouted nodes that fit the load, in id order, get their legs from the
-    route's last stop in one more, and are tried in the order of a stable
-    sort on the leg until one meets both time tests: the smallest leg,
-    ties going to the lower id.
+    unrouted nodes that fit the load and whose due time the route's clock
+    has not yet passed, in id order, get their legs from the route's last
+    stop in one more, and are tried in the order of a stable sort on the
+    leg until one meets both time tests: the smallest leg, ties going to
+    the lower id. The clock test drops only nodes the due test would
+    reject, since a start max(time + leg, ready) is never below time.
     """
     depot = graph.depot
     unrouted = graph.customer_ids()
@@ -54,7 +56,8 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
         time = 0.0
         load = 0.0
         while True:
-            fits = [c for c in unrouted if not load + nodes[c].demand > capacity]
+            fits = [c for c in unrouted
+                    if not (load + (n := nodes[c]).demand > capacity or time > n.due)]
             for leg, c in sorted(zip(graph.taus(stops[-1], fits), fits), key=itemgetter(0)):
                 node = nodes[c]
                 start = max(time + leg, node.ready)
@@ -85,18 +88,18 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     reversals), and only when the merged route fits capacity and introduces
     no new time-window violation.
 
-    The pairs are listed row by row from Graph.taus and ordered by one
-    stable sort on the savings value alone, so ties keep (i, j) order. A
-    pair whose two demands alone exceed the capacity is never listed: no
+    The pairs are listed row by row from Graph.taus into three flat lists,
+    keys, firsts and seconds, so pair p is (firsts[p], seconds[p]) with
+    savings key keys[p]; no tuple is built per pair, so the n(n-1)/2 pairs
+    of a full graph leave the cyclic garbage collector almost nothing to
+    track. They are ordered by one stable sort of the indices on the key
+    alone, and the indices follow (i, j) order, so ties keep (i, j) order.
+    A pair whose two demands alone exceed the capacity is never listed: no
     route holding both could ever fit, so the merges are those of the full
     n(n-1)/2 list. Rows where every partner fits, as on a customer graph
     whose largest two demands fit one vehicle, list all their pairs; a row
     left with no partner, as most rows of a coarse graph are, is skipped
-    without a Graph.taus call. Each row's keys come from one comprehension
-    and its tuples from one zip. The merge loop reads a pair as pair[1] and
-    pair[2], never its key: after the sort the tuples lie scattered in
-    memory, and unpacking a tuple would touch its key's float object as
-    well, one more cache miss per pair.
+    without a Graph.taus call. Each row's keys come from one comprehension.
     The route state lives in lists, by route number and, for each
     customer's route and route load, by node id. So the capacity test,
     which rejects most pairs once routes have grown, reads two loads and
@@ -110,7 +113,7 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
     homes = graph.taus(DEPOT_ID, ids)                   # each depot leg once
     demands = [graph.node(c).demand for c in ids]
     top = max(demands, default=0.0)
-    pairs = []
+    keys, firsts, seconds = [], [], []                  # pair p is (firsts[p], seconds[p])
     for k, i in enumerate(ids):
         rest, hs, di = ids[k + 1:], homes[k + 1:], demands[k]
         if di + top > capacity:                         # not every j fits beside i
@@ -119,9 +122,9 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         if not rest:
             continue
         hi = homes[k]
-        pairs += zip([-(hi + hj - t) for hj, t in zip(hs, graph.taus(i, rest))],
-                     repeat(i), rest)
-    pairs.sort(key=itemgetter(0))
+        keys += [-(hi + hj - t) for hj, t in zip(hs, graph.taus(i, rest))]
+        firsts += repeat(i, len(rest))
+        seconds += rest
     size = max(ids, default=0) + 1      # coarse ids have gaps and run past n
     routes = [[c] for c in ids]         # interior stops by route; None once merged away
     route_of = [0] * size               # by node id
@@ -133,8 +136,8 @@ def savings_solve(graph: Graph, capacity: float) -> Solution:
         route_of[c], load_of[c] = k, demands[k]
         late[k], ends[k] = walk_schedule(graph, DEPOT_ID, 0.0, (c,))
         viols[k] = late[k] + walk_schedule(graph, c, ends[k], (DEPOT_ID,))[0]
-    for pair in pairs:
-        i, j = pair[1], pair[2]
+    for p in sorted(range(len(keys)), key=keys.__getitem__):
+        i, j = firsts[p], seconds[p]
         if load_of[i] + load_of[j] > capacity:
             continue
         ri, rj = route_of[i], route_of[j]

@@ -221,6 +221,18 @@ def test_solve_p_one_matches_baseline(tmp_path, instance_file):
     assert da["metrics"] == db["metrics"]
 
 
+def test_baseline_default_names_differ_by_solver(tmp_path, instance_file, monkeypatch, capsys):
+    # without --out each solver's baseline gets its own file, so one does not
+    # overwrite the other
+    monkeypatch.chdir(tmp_path)
+    for solver in ("savings", "greedy"):
+        assert main(["baseline", str(instance_file), "--solver", solver]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote cli20.{solver}.baseline.json"
+    for solver in ("savings", "greedy"):
+        doc = read_solution(tmp_path / f"cli20.{solver}.baseline.json")
+        assert doc["params"]["solver"] == solver
+
+
 def test_plot_after_solve(tmp_path, instance_file):
     sol = tmp_path / "sol.json"
     svg = tmp_path / "sol.svg"

@@ -682,15 +682,23 @@ def coarsen_cases(draw):
 
 
 # rho = 1 * extent 8 / sqrt(4) = 4: the pairs 1-2 and 2-3 weigh exactly rho/2,
-# 3-4 weighs 3, beyond the window of rho/2, and 1-3 weighs rho
+# 3-4 weighs 3, beyond the window of rho/2, and 1-3 weighs rho; no pair lies
+# within rho/4, so the pass after it is the one of rho
 _HALF_RADIUS_CASE = (_graph_of([(1.0, 0.0), (3.0, 0.0), (5.0, 0.0), (8.0, 0.0)],
                                [(0, 900, 0)] * 4),
                      CoarseningParams(alpha=1.0, beta=0.0, p_target=0.5, radius_coeff=1.0))
+
+# rho = 4 again: 1-2 weighs exactly rho/4 and matches in the first pass, so the
+# pass of rho/2 runs; 2-3 weighs exactly rho/2, and 3-4 weighs exactly rho
+_QUARTER_RADIUS_CASE = (_graph_of([(1.0, 0.0), (2.0, 0.0), (4.0, 0.0), (8.0, 0.0)],
+                                  [(0, 900, 0)] * 4),
+                        CoarseningParams(alpha=1.0, beta=0.0, p_target=0.5, radius_coeff=1.0))
 
 
 @settings(max_examples=300, deadline=None)
 @given(coarsen_cases())
 @example(_HALF_RADIUS_CASE)
+@example(_QUARTER_RADIUS_CASE)
 def test_coarsen_matches_as_one_full_scan_per_round(case):
     graph, params = case
     trace = []
@@ -707,6 +715,14 @@ def test_coarsen_matches_as_one_full_scan_per_round(case):
 
 def test_half_radius_pairs_match_before_the_outer_ring():
     graph, params = _HALF_RADIUS_CASE
+    trace = []
+    _, history = coarsen(graph, params, trace=trace)
+    assert [tuple(sorted(r.order)) for r in history] == [(1, 2), (3, 4)]
+    assert trace[0]["rho"] == 4.0
+
+
+def test_quarter_radius_pairs_match_before_the_middle_ring():
+    graph, params = _QUARTER_RADIUS_CASE
     trace = []
     _, history = coarsen(graph, params, trace=trace)
     assert [tuple(sorted(r.order)) for r in history] == [(1, 2), (3, 4)]

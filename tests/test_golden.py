@@ -43,9 +43,9 @@ PIPELINE_DIGESTS = {
 
 TRACE_DIGESTS = {
     "relaxed":
-        "0df0c69d7dd105ae075cad45e74a643fbcb10c38d36f6e917b75c2574f0b3a81",
+        "6bc3d79a17986647e11fe692ac682df25d301ac23318d0846bb3d9cf155b3544",
     "conservative":
-        "0e590d591f7f9e28c3aee0bdb68e9fad32328a379c3f7ed4298d3e7a9e7b2fd6",
+        "2d2f07c681cda042b57f1d9c6ccbeeeaddfc7b82df125fb5c5de2395dfaa9a55",
 }
 
 CLI_DEFAULTS_CONSERVATIVE_DIGEST = (
