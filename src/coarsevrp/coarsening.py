@@ -75,37 +75,31 @@ def st_distance(i: CoarseNode, j: CoarseNode, tau_ij: float,
     return alpha * tau_ij + beta * temporal_separation(i, j, tau_ij, mode)
 
 
-def merge_feasibility(i: CoarseNode, j: CoarseNode, tau_ij: float) -> tuple[bool, bool]:
-    """(forward, backward): can j be served right after i, and vice versa?
-
-    Serving i at its earliest start must still allow j to finish by its due
-    time: ready_i <= due_j - service_j - tau_ij - service_i. This reads `due`
-    as a finish-by deadline; Customer.due and recompute_schedule read it as
-    the latest start, so a pair rejected here may still be served on time.
-    """
-    forward = i.ready <= j.due - j.service - tau_ij - i.service
-    backward = j.ready <= i.due - i.service - tau_ij - j.service
-    return forward, backward
-
-
 def merge_slack(first: CoarseNode, second: CoarseNode, tau: float) -> float:
-    """Scheduling headroom when `first` is served immediately before `second`,
-    reading `due` as a finish-by deadline as merge_feasibility does (not as
-    the latest start that Customer.due and recompute_schedule use)."""
+    """Scheduling headroom when `first` is served immediately before `second`:
+    (due_s - s_s - tau) - (ready_f + s_f). The order is feasible when it is
+    >= 0. This reads `due` as a finish-by deadline; Customer.due and
+    recompute_schedule read it as the latest start, so an order rejected
+    here may still be served on time."""
     return (second.due - second.service - tau) - (first.ready + first.service)
 
 
-def choose_direction(i: CoarseNode, j: CoarseNode, tau_ij: float):
-    """Pick the feasible service order with the larger slack (ties keep i first).
+def merge_feasibility(i: CoarseNode, j: CoarseNode, tau_ij: float) -> tuple[bool, bool]:
+    """(forward, backward): can j be served right after i, and vice versa?
+    Each is its order's merge_slack >= 0."""
+    return merge_slack(i, j, tau_ij) >= 0, merge_slack(j, i, tau_ij) >= 0
 
-    Returns the (first, second) node pair, or None when neither order works.
+
+def choose_direction(i: CoarseNode, j: CoarseNode, tau_ij: float):
+    """Pick the service order with the larger merge_slack (ties keep i first).
+
+    Returns the (first, second) node pair, or None when both slacks are
+    negative. A feasible order's slack is >= 0, so it beats an infeasible one.
     """
-    forward, backward = merge_feasibility(i, j, tau_ij)
-    if not forward and not backward:
+    forward, backward = merge_slack(i, j, tau_ij), merge_slack(j, i, tau_ij)
+    if forward < 0 and backward < 0:
         return None
-    if forward and backward:
-        return (i, j) if merge_slack(i, j, tau_ij) >= merge_slack(j, i, tau_ij) else (j, i)
-    return (i, j) if forward else (j, i)
+    return (i, j) if forward >= backward else (j, i)
 
 
 def aggregate_window(first: CoarseNode, second: CoarseNode, tau: float,

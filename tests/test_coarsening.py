@@ -99,12 +99,45 @@ def test_merge_slack_tie_keeps_lower_id_first():
     assert (order[0].id, order[1].id) == (1, 2)
 
 
+# ready_i + s_i rounds to exactly due_j - s_j - tau here, while
+# ready_i <= due_j - s_j - tau - s_i rounds the other way: the slack and a
+# separately written feasibility test once disagreed on this pair
+_ROUNDING_BOUNDARY = (cnode(1, 450.56310663115516, 500, service=66.0245378622389),
+                      cnode(2, 516, 516.587644493394), 0.0)
+
+
 def test_merge_slack_zero_boundary_still_feasible():
     # ready_i exactly at the last workable moment
     i = cnode(1, 75, 200, service=10.0)
     j = cnode(2, 0, 100, service=10.0)
     assert abs(merge_slack(i, j, 5.0) - 0.0) < TOL
     assert merge_feasibility(i, j, 5.0)[0] is True
+    # the same boundary reached by rounding: only i-then-j can work
+    i, j, tau = _ROUNDING_BOUNDARY
+    assert merge_slack(i, j, tau) == 0.0
+    assert merge_feasibility(i, j, tau)[0] is True
+    order = choose_direction(i, j, tau)
+    assert (order[0].id, order[1].id) == (1, 2)
+
+
+_TIMES = st.floats(0.0, 1e4)
+
+
+@st.composite
+def _nodes(draw, nid):
+    return cnode(nid, draw(_TIMES), draw(_TIMES), service=draw(st.floats(0.0, 100.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(i=_nodes(1), j=_nodes(2), tau=st.floats(0.0, 1e3))
+@example(*_ROUNDING_BOUNDARY)
+def test_direction_and_feasibility_follow_the_slack_signs(i, j, tau):
+    forward, backward = merge_slack(i, j, tau), merge_slack(j, i, tau)
+    assert merge_feasibility(i, j, tau) == (forward >= 0, backward >= 0)
+    order = choose_direction(i, j, tau)
+    assert (order is None) == (forward < 0 and backward < 0)
+    if order is not None:
+        assert merge_slack(*order, tau) >= 0
 
 
 def test_choose_direction_picks_feasible_side():

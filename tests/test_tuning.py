@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsevrp.coarsening import PROPAGATION_MODES, CoarseningParams
+from coarsevrp.coarsening import PROPAGATION_MODES, CoarseningParams, coarsen
 from coarsevrp.evaluation import evaluate
 from coarsevrp.graph import Graph
 from coarsevrp.heuristics import savings_solve
-from coarsevrp.instances import TRIAL_FIELDS, trial_row
+from coarsevrp.instances import TRIAL_FIELDS, Instance, trial_row
 from coarsevrp.tuning import (SOLVERS, SearchSpace, TrialResult, random_search,
                               run_baseline, run_campaign, run_pipeline, run_trial,
                               sample_params, trial_seed, trial_solution)
@@ -106,6 +106,35 @@ def test_pipeline_metrics_equal_evaluate_on_the_same_routes(inst, radius):
         assert out.metrics == evaluate(out.solution, g, inst.capacity), case
         assert out.coarse_metrics == evaluate(out.coarse_solution, out.coarse_graph,
                                               inst.capacity), case
+
+
+def _pipeline_outputs(inst, params, solver):
+    out = run_pipeline(inst, params, solver)
+    _, history = coarsen(Graph.from_instance(inst), params)
+    return ([r.stops for r in out.solution.routes],
+            [r.stops for r in out.coarse_solution.routes],
+            out.score, out.metrics, out.coarse_metrics, history, out.coarsening)
+
+
+@settings(max_examples=40, deadline=None)
+# generator-shaped instances, and instances on a small grid, where many travel
+# times are equal and ties decide
+@given(inst=st.one_of(st.builds(gen.random_instance, st.integers(0, 10**6), st.integers(10, 60),
+                                family=st.sampled_from(["random", "clustered", "mixed"])),
+                      gen.windowed_instances(max_customers=20, grid=4)),
+       rnd=st.randoms(use_true_random=False))
+def test_customer_row_order_changes_no_output(inst, rnd):
+    # Graph.customers follows the file's row order while customer_ids() sorts:
+    # the order of the rows reaches no route, score, merge or coarsening trace
+    rows = list(inst.customers)
+    rnd.shuffle(rows)
+    shuffled = Instance(inst.name, inst.vehicle_count, inst.capacity, inst.depot, tuple(rows))
+    for propagation, solver in product(PROPAGATION_MODES, SOLVERS):
+        for params in (CoarseningParams(propagation=propagation),      # the CLI defaults
+                       CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3, radius_coeff=4.0,
+                                        propagation=propagation)):
+            assert (_pipeline_outputs(shuffled, params, solver)
+                    == _pipeline_outputs(inst, params, solver)), (propagation, solver, params)
 
 
 def test_trial_carries_its_final_stops():
