@@ -25,8 +25,8 @@ LAMBDA_TIME = 1000.0           # flat penalty once any stop is late
 def evaluate(solution: Solution, graph: Graph, capacity: float) -> Metrics:
     """Recompute every route from scratch on graph, then aggregate_metrics.
 
-    Stored schedules are ignored: a solution from another graph, or one
-    whose routes were edited, is measured correctly.
+    Stored arrivals, starts and departures are ignored: a solution from
+    another graph, or one whose routes were edited, is measured correctly.
     """
     return aggregate_metrics([recompute_schedule(r.stops, graph, capacity)
                               for r in solution.routes])

@@ -210,25 +210,18 @@ class Graph:
         return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
-class StopTiming(Frozen):
-    __slots__ = ("arrival", "wait", "service_start", "departure")
-
-    def __init__(self, arrival: float, wait: float, service_start: float, departure: float):
-        _set(self, "arrival", arrival)
-        _set(self, "wait", wait)
-        _set(self, "service_start", service_start)
-        _set(self, "departure", departure)
-
-
 class Route(Record):
-    __slots__ = ("stops", "schedule", "late_stops", "over_capacity", "distance")
+    __slots__ = ("stops", "arrivals", "starts", "departures", "late_stops", "over_capacity",
+                 "distance")
 
-    def __init__(self, stops: list[int], schedule: list[StopTiming] | None = None,
-                 late_stops: tuple[int, ...] = (), over_capacity: bool = False,
-                 distance: float = 0.0):
+    def __init__(self, stops: list[int], arrivals: list[float], starts: list[float],
+                 departures: list[float], late_stops: tuple[int, ...], over_capacity: bool,
+                 distance: float):
         self.stops = stops                       # depot ... depot
-        self.schedule = [] if schedule is None else schedule
-        self.late_stops = late_stops             # positions where service_start > due
+        self.arrivals = arrivals                 # per stop: arrival time,
+        self.starts = starts                     # service start
+        self.departures = departures             # and departure; 0.0 at the first depot
+        self.late_stops = late_stops             # positions pos where starts[pos] > due
         self.over_capacity = over_capacity
         self.distance = distance                 # the legs' travel times, summed
 
@@ -242,16 +235,18 @@ class Route(Record):
 
     @property
     def duration(self) -> float:
-        return self.schedule[-1].departure - self.schedule[0].departure if self.schedule else 0.0
+        return self.departures[-1] - self.departures[0]
+
 
 def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Route:
-    """Forward-simulate a depot-to-depot stop sequence.
+    """Forward-simulate a depot-to-depot stop sequence into a Route's
+    arrivals, starts and departures, one entry per stop.
 
-    The vehicle departs the depot at time 0. At each stop service_start =
+    The vehicle departs the depot at time 0. At each stop start =
     max(arrival, ready), the rule of greedy_solve's time test, so a vehicle
-    that waits starts exactly at ready; wait = service_start - arrival and
-    departure = service_start + service. A stop is late when its
-    service_start exceeds its due time; late stops are recorded, never
+    that waits starts exactly at ready, and departure = start + service; the
+    wait is start - arrival, which build_solution_document derives. A stop is
+    late when its start exceeds its due time; late stops are recorded, never
     rejected. With a capacity, the route is additionally flagged when total
     demand exceeds it. The legs' travel times are added into `distance` left
     to right (the built-in `sum` of floats is compensated since Python 3.12).
@@ -259,7 +254,7 @@ def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Ro
     stops = list(stops)
     if len(stops) < 2 or stops[0] != DEPOT_ID or stops[-1] != DEPOT_ID:
         raise ValueError("a route must start and end at the depot")
-    schedule = [StopTiming(0.0, 0.0, 0.0, 0.0)]
+    arrivals, starts, departures = [0.0], [0.0], [0.0]
     late = []
     distance = 0.0
     load = 0.0
@@ -269,15 +264,16 @@ def recompute_schedule(stops, graph: Graph, capacity: float | None = None) -> Ro
         leg = graph.tau(stops[pos - 1], stops[pos])
         distance += leg
         arrival = t + leg
-        service_start = max(arrival, node.ready)
-        departure = service_start + node.service
-        schedule.append(StopTiming(arrival, service_start - arrival, service_start, departure))
-        if service_start > node.due:
+        start = max(arrival, node.ready)
+        t = start + node.service
+        arrivals.append(arrival)
+        starts.append(start)
+        departures.append(t)
+        if start > node.due:
             late.append(pos)
         load += node.demand
-        t = departure
     over = capacity is not None and load > capacity
-    return Route(stops, schedule, tuple(late), over, distance)
+    return Route(stops, arrivals, starts, departures, tuple(late), over, distance)
 
 
 def walk_schedule(graph: Graph, prev: int, t: float, stops) -> tuple[int, float]:

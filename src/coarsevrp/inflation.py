@@ -58,7 +58,7 @@ def inflate(solution: Solution, history: list[MergeRecord], original: Graph) -> 
 
 
 def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solution:
-    """repair_stops on the solution's stop lists; their schedules are not read.
+    """repair_stops on the solution's stop lists; their times are not read.
 
     Idempotent: running it on its own output is a no-op.
     """
@@ -84,10 +84,10 @@ def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> 
     nothing to split.
 
     Each route is scheduled once, and again only when a swap or a split
-    changes it. A swap leaves the schedule in front of it as it is, so its
-    test walks only from the swap position, from the current schedule's
-    departure there (Savelsbergh 1992); a split keeps a prefix of the stops,
-    and its load is a prefix sum of their demands.
+    changes it. A swap leaves the times in front of it as they are, so its
+    test walks only from the swap position, from the departure before it,
+    route.departures[pos - 2] (Savelsbergh 1992); a split keeps a prefix of
+    the stops, and its load is a prefix sum of their demands.
     """
     routes, singletons = [], []
     for stops in stop_lists:
@@ -101,7 +101,7 @@ def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> 
                     continue  # only interior customer pairs can swap
                 # swapped stops first: both must be on time
                 swap_late, t = walk_schedule(graph, stops[pos - 2],
-                                             route.schedule[pos - 2].departure,
+                                             route.departures[pos - 2],
                                              (stops[pos], stops[pos - 1]))
                 if swap_late:
                     continue

@@ -189,11 +189,12 @@ def build_solution_document(solution, instance, metrics, params, seed=0, timings
     routes = []
     for k, route in enumerate(solution.routes):
         stops = [{"node_id": nid,
-                  "arrival": st.arrival,
-                  "wait": st.wait,
-                  "service_start": st.service_start,
-                  "departure": st.departure}
-                 for nid, st in zip(route.stops, route.schedule)]
+                  "arrival": arrival,
+                  "wait": start - arrival,
+                  "service_start": start,
+                  "departure": departure}
+                 for nid, arrival, start, departure
+                 in zip(route.stops, route.arrivals, route.starts, route.departures)]
         routes.append({"vehicle": k, "stops": stops})
     nodes = {str(instance.depot.id): {"x": instance.depot.x, "y": instance.depot.y}}
     for node in instance.customers:

@@ -54,11 +54,10 @@ def test_schedule_wait_then_serve():
     inst = two_point_instance(10, 0, ready=20, due=30, service=5)
     g = Graph.from_instance(inst)
     route = recompute_schedule([0, 1, 0], g)
-    st = route.schedule[1]
-    assert abs(st.arrival - 10) < TOL
-    assert abs(st.wait - 10) < TOL
-    assert abs(st.service_start - 20) < TOL
-    assert abs(st.departure - 25) < TOL
+    assert abs(route.arrivals[1] - 10) < TOL
+    assert abs(route.starts[1] - route.arrivals[1] - 10) < TOL
+    assert abs(route.starts[1] - 20) < TOL
+    assert abs(route.departures[1] - 25) < TOL
     assert route.tw_violations == 0
 
 
@@ -67,8 +66,8 @@ def test_schedule_flags_late_start():
     g = Graph.from_instance(inst)
     route = recompute_schedule([0, 1, 0], g)
     assert route.late_stops == (1,)
-    assert route.schedule[1].wait == 0.0
-    assert route.schedule[1].service_start == 10.0
+    assert route.starts[1] == route.arrivals[1]
+    assert route.starts[1] == 10.0
 
 
 def test_schedule_empty_route():
@@ -119,10 +118,10 @@ def test_schedule_monotone_in_departure():
     # simulate a later start by inflating the first leg: insert a detour stop is
     # not possible, so compare successive prefixes instead: arrival at k+1 is a
     # nondecreasing function of departure at k by construction of max().
-    for a, b in zip(base.schedule, base.schedule[1:]):
-        assert b.arrival >= a.departure - TOL
-        assert b.service_start >= b.arrival - TOL
-        assert b.departure >= b.service_start - TOL
+    for k in range(1, len(stops)):
+        assert base.arrivals[k] >= base.departures[k - 1] - TOL
+        assert base.starts[k] >= base.arrivals[k] - TOL
+        assert base.departures[k] >= base.starts[k] - TOL
 
 
 def test_waiting_only_when_early():
@@ -130,11 +129,11 @@ def test_waiting_only_when_early():
     g = Graph.from_instance(inst)
     stops = [0, *g.customer_ids()[:6], 0]
     route = recompute_schedule(stops, g)
-    for pos, st in enumerate(route.schedule):
+    for pos, (arrival, start) in enumerate(zip(route.arrivals, route.starts)):
         node_ = g.node(route.stops[pos])
-        if st.wait > 0:
-            assert st.arrival < node_.ready
-            assert abs(st.service_start - node_.ready) < TOL
+        if start - arrival > 0:
+            assert arrival < node_.ready
+            assert abs(start - node_.ready) < TOL
 
 
 def test_a_waiting_stop_starts_exactly_at_ready():
@@ -148,7 +147,7 @@ def test_a_waiting_stop_starts_exactly_at_ready():
         [route] = solve(g, 100.0).routes
         assert route.stops == [0, 1, 0]
         assert route.late_stops == ()
-        assert route.schedule[1].service_start == r
+        assert route.starts[1] == r
     assert walk_schedule(g, 0, 0.0, (1,))[0] == 0
 
 
@@ -308,3 +307,47 @@ def test_each_graph_reads_its_own_point_table():
                                    conservative)
         _assert_taus_rows_equal_tau(again)
     _assert_taus_rows_equal_tau(Graph.from_instance(gen.random_instance(6, 14)))
+
+
+# ---------------------------------------------------------------------------
+# a route's timetable: three float lists, one entry per stop
+
+def _solved_routes(inst):
+    """(graph, route) for every route of both solvers, on the full graph and
+    on acceptance test 6's conservative coarse graph."""
+    g = Graph.from_instance(inst)
+    coarse, _ = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3,
+                                            radius_coeff=4.0, propagation="conservative"))
+    for graph in (g, coarse):
+        for solve in (greedy_solve, savings_solve):
+            for route in solve(graph, inst.capacity).routes:
+                yield graph, route
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=gen.windowed_instances(max_customers=16))
+def test_timetable_lists_follow_the_start_rule(inst):
+    for g, route in _solved_routes(inst):
+        stops, arrivals, starts, departures = (route.stops, route.arrivals, route.starts,
+                                               route.departures)
+        for times in (arrivals, starts, departures):
+            assert len(times) == len(stops) and times[0] == 0.0
+        for k in range(1, len(stops)):
+            node_ = g.node(stops[k])
+            assert arrivals[k] == departures[k - 1] + g.tau(stops[k - 1], stops[k])
+            assert starts[k] == max(arrivals[k], node_.ready)
+            assert departures[k] == starts[k] + node_.service
+        assert route.late_stops == tuple(k for k in range(len(stops))
+                                         if starts[k] > g.node(stops[k]).due)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=gen.windowed_instances(max_customers=16))
+def test_walk_from_a_departure_reproduces_the_route_tail(inst):
+    # savings' merge test and repair's swap test walk on from a stored departure
+    for g, route in _solved_routes(inst):
+        stops, departures = route.stops, route.departures
+        for k in range(len(stops)):
+            late_after = sum(q > k for q in route.late_stops)
+            assert walk_schedule(g, stops[k], departures[k], stops[k + 1:]) == (
+                late_after, departures[-1])

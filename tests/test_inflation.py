@@ -110,7 +110,8 @@ def test_inflate_end_to_end_coverage():
             # schedules are on the original metric now
             for r in out.routes:
                 rebuilt = recompute_schedule(r.stops, g)
-                assert rebuilt.schedule == r.schedule
+                assert (rebuilt.arrivals, rebuilt.starts, rebuilt.departures) == (
+                    r.arrivals, r.starts, r.departures)
 
 
 # ---------------------------------------------------------------------------

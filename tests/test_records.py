@@ -4,12 +4,12 @@ import pickle
 import pytest
 
 from coarsevrp.coarsening import CoarseningParams, coarsen
-from coarsevrp.graph import Graph, Route
+from coarsevrp.graph import Graph
 from coarsevrp.tuning import SearchSpace, run_trial, solve_baseline
 
 import gen
 
-FROZEN = ("Customer", "Instance", "CoarseNode", "StopTiming", "CoarseningParams",
+FROZEN = ("Customer", "Instance", "CoarseNode", "CoarseningParams",
           "MergeRecord", "Metrics", "SearchSpace", "TrialResult")
 MUTABLE = ("Route", "Solution", "PipelineResult")
 
@@ -26,8 +26,8 @@ def records():
     coarse, history = coarsen(Graph.from_instance(inst), params)
     out = solve_baseline(inst, trial.solver)
     route = out.solution.routes[0]
-    recs = [inst.customers[0], inst, coarse.node(history[-1].super_id), route.schedule[1],
-            params, history[-1], trial.metrics, space, trial, route, out.solution, out]
+    recs = [inst.customers[0], inst, coarse.node(history[-1].super_id), params,
+            history[-1], trial.metrics, space, trial, route, out.solution, out]
     assert recs[2].radius > 0 and trial.coarse_metrics is not None
     return {type(r).__name__: r for r in recs}
 
@@ -71,4 +71,3 @@ def test_mutable_defaults_are_fresh_per_record():
     assert first.coarsening is not second.coarsening
     first.coarsening.append("round")
     assert second.coarsening == []
-    assert Route([0, 0]).schedule is not Route([0, 0]).schedule
