@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .coarsening import MergeRecord
-from .graph import DEPOT_ID, Graph, Route, recompute_schedule, walk_schedule
+from .graph import DEPOT_ID, Graph, Route, recompute_schedule
 from .heuristics import Solution
 
 
@@ -58,7 +56,8 @@ def inflate(solution: Solution, history: list[MergeRecord], original: Graph) -> 
 
 
 def light_postprocess(solution: Solution, graph: Graph, capacity: float) -> Solution:
-    """repair_stops on the solution's stop lists; their times are not read.
+    """repair_stops on the solution's stop lists; their times are not read,
+    since recompute_schedule schedules every route that repair keeps.
 
     Idempotent: running it on its own output is a no-op.
     """
@@ -70,58 +69,40 @@ def repair_stops(stop_lists: list[list[int]], graph: Graph, capacity: float) -> 
     """Cheap repairs, applied to each route until nothing changes; returns
     the routes, each scheduled with the capacity, followed by the singleton
     routes split off them in the order they were split. Each stop list is
-    edited in place.
+    edited in place and ends equal to its route's stops.
 
     (a) adjacent swap: exchanging a late stop with its predecessor is kept
-        when it strictly lowers the route's violation count and leaves both
-        swapped stops on time;
+        when it strictly lowers the route's violation count, a late return
+        to the depot included, and leaves both swapped stops on time;
     (b) capacity split: a route over capacity repeatedly moves its last
         customer into a fresh singleton route.
 
     A route's repair depends on nothing but its own stops, so each route is
     repaired on its own: at most one swap, then the split, repeated until
     neither changes it. A split-off singleton has no pair to swap and
-    nothing to split.
-
-    Each route is scheduled once, and again only when a swap or a split
-    changes it. A swap leaves the times in front of it as they are, so its
-    test walks only from the swap position, from the departure before it,
-    route.departures[pos - 2] (Savelsbergh 1992); a split keeps a prefix of
-    the stops, and its load is a prefix sum of their demands.
+    nothing to split. Every candidate swap and every split is scheduled by
+    recompute_schedule, so the late stops and the load are read from it.
     """
-    routes, singletons = [], []
+    routes, split = [], []
     for stops in stop_lists:
         route = recompute_schedule(stops, graph, capacity)
         changed = True
         while changed:
             changed = False
-            late = route.late_stops
-            for pos in late:
+            for pos in route.late_stops:
                 if pos < 2 or pos >= len(stops) - 1:
                     continue  # only interior customer pairs can swap
-                # swapped stops first: both must be on time
-                swap_late, t = walk_schedule(graph, stops[pos - 2],
-                                             route.departures[pos - 2],
-                                             (stops[pos], stops[pos - 1]))
-                if swap_late:
-                    continue
-                rest_late, _ = walk_schedule(graph, stops[pos - 1], t, stops[pos + 1:])
-                if rest_late < sum(q >= pos - 1 for q in late):
-                    stops[pos - 1], stops[pos] = stops[pos], stops[pos - 1]
-                    route = recompute_schedule(stops, graph, capacity)
+                swapped = [*stops[:pos - 1], stops[pos], stops[pos - 1], *stops[pos + 1:]]
+                trial = recompute_schedule(swapped, graph, capacity)
+                if (trial.tw_violations < route.tw_violations
+                        and pos - 1 not in trial.late_stops and pos not in trial.late_stops):
+                    stops[:] = swapped
+                    route = trial
                     changed = True
                     break
-            customers = len(route.customer_stops)
-            if route.over_capacity and customers > 1:
-                # loads[q]: the load of stops[:q + 1], summed as recompute_schedule sums it
-                loads = list(accumulate([graph.node(s).demand for s in stops[1:-1]],
-                                        initial=0.0))
-                while loads[len(stops) - 2] > capacity and customers > 1:
-                    last = stops.pop(-2)
-                    customers -= last != DEPOT_ID
-                    singletons.append(recompute_schedule([DEPOT_ID, last, DEPOT_ID],
-                                                         graph, capacity))
+            while route.over_capacity and len(stops) > 3:
+                split.append(stops.pop(-2))
                 route = recompute_schedule(stops, graph, capacity)
                 changed = True
         routes.append(route)
-    return routes + singletons
+    return routes + [recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity) for c in split]

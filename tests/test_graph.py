@@ -344,7 +344,7 @@ def test_timetable_lists_follow_the_start_rule(inst):
 @settings(max_examples=60, deadline=None)
 @given(inst=gen.windowed_instances(max_customers=16))
 def test_walk_from_a_departure_reproduces_the_route_tail(inst):
-    # savings' merge test and repair's swap test walk on from a stored departure
+    # savings' merge test walks on from a stored departure
     for g, route in _solved_routes(inst):
         stops, departures = route.stops, route.departures
         for k in range(len(stops)):

@@ -6,8 +6,8 @@ from coarsevrp.coarsening import PROPAGATION_MODES, CoarseningParams, MergeRecor
 from coarsevrp.evaluation import evaluate
 from coarsevrp.graph import DEPOT_ID, Graph, recompute_schedule
 from coarsevrp.heuristics import Solution, greedy_solve, savings_solve
-from coarsevrp.inflation import (InflationError, expansion_map, inflate,
-                                 light_postprocess)
+from coarsevrp.inflation import (InflationError, expand_stops, expansion_map, inflate,
+                                 light_postprocess, repair_stops)
 from coarsevrp.instances import Customer, Instance
 
 import gen
@@ -158,6 +158,36 @@ def test_postprocess_swaps_once_a_split_allows_it():
     out = light_postprocess(_solution([[0, 1, 2, 3, 0]], g), g, inst.capacity)
     assert [r.stops for r in out.routes] == [[0, 2, 1, 0], [0, 3, 0]]
     assert evaluate(out, g, inst.capacity).tw_violations == 0
+
+
+def test_postprocess_refuses_a_swap_that_makes_the_depot_return_late():
+    # swapped, both customers are on time but the vehicle returns to the
+    # depot late, so the route's late count does not fall
+    inst = make_instance([(10, 0, 10, 0, 100, 0), (1, 0, 10, 5, 6, 0)], horizon=22)
+    g = Graph.from_instance(inst)
+    assert recompute_schedule([0, 1, 2, 0], g).late_stops == (2,)
+    assert recompute_schedule([0, 2, 1, 0], g).late_stops == (3,)
+    out = light_postprocess(_solution([[0, 1, 2, 0]], g), g, inst.capacity)
+    assert [r.stops for r in out.routes] == [[0, 1, 2, 0]]
+
+
+@pytest.mark.parametrize("solver", [savings_solve, greedy_solve])
+def test_repair_edits_each_stop_list_into_its_route(solver):
+    # relaxed acceptance-test-6 routes: with either solver one route of this
+    # instance is both swapped and split
+    inst = gen.random_instance(1, 50)
+    g = Graph.from_instance(inst)
+    cg, hist = coarsen(g, CoarseningParams(alpha=0.9, beta=0.1, p_target=0.3,
+                                           radius_coeff=4.0))
+    stop_lists = expand_stops(solver(cg, inst.capacity), hist, g)
+    before = [stops[:] for stops in stop_lists]
+    routes = repair_stops(stop_lists, g, inst.capacity)
+    assert any(len(old) > len(new) and new[1:-1] != old[1:len(new) - 1]
+               for old, new in zip(before, stop_lists))
+    assert [r.stops for r in routes[:len(stop_lists)]] == stop_lists
+    kept = [s for stops in stop_lists for s in stops[1:-1]]
+    split_off = [r.stops[1] for r in routes[len(stop_lists):]]
+    assert split_off and sorted(kept + split_off) == list(range(1, 51))
 
 
 def test_postprocess_idempotent():
