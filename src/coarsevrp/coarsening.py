@@ -9,7 +9,7 @@ found on the small graph can later be expanded back onto the original one.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress
 from operator import itemgetter
 
@@ -152,19 +152,48 @@ def radius_threshold(graph: Graph, radius_coeff: float) -> float:
 # radius: every pair of weight <= r lies in the window of r, so `coarsen` can
 # match ring by ring, r = rho/4, rho/2 and then rho, in one loop, and may skip
 # any ring but the last.
+#
+# A box pass (_box_pairs) drops none either. A pair of weight <= r differs by
+# at most one window of r on every axis at once, so on the second axis a2 its
+# two rows lie in strips, each one window of r widened by _WINDOW_MARGIN,
+# whose floored indices differ by at most one; on the first axis a1 they lie
+# within one window of each other, in the same strip or the next. The pass
+# weighs each row against exactly those rows. Its composite keys, strip times
+# a stretch plus the a1 offset in windows, round by a few ulps of the largest
+# key; the a1 window is widened by _WINDOW_MARGIN and by 2**-40 of that key,
+# thousands of ulps, so that rounding drops no pair. So each box pass sees
+# every pair of weight <= r, and the merges are still those of one greedy
+# pass over all pairs within rho in (w, i, j) order.
 _WINDOW_MARGIN = 1e-6
+
+# A round weighs in boxes (_box_pairs) when the sweep's window of rho holds
+# this many rows or more on average. Below it, a box pass's composite sort
+# and three bisections a row cost more than the pairs they spare. Measured as
+# one round's thread time, its contraction included, sweep -> boxes, medians
+# of 15 on a 2-core VM, 4 mixed inputs each at alpha .9 or .5 and beta .1:
+# 16 rows per window 1.21 -> 1.38 ms and 31 rows 2.18 -> 2.49 ms (n = 200),
+# 42 rows 1.64 -> 1.64 ms (n = 200), 44 rows 3.40 -> 2.99 ms (n = 400) and
+# 77 rows 2.92 -> 2.23 ms (n = 300). The second axis's share needs no bound
+# beyond being finite: at 51 rows per window on nominal time (n = 200, beta
+# .1, radius 1.5, medians of 25), boxes cost no more than the sweep whether
+# a2's window covers 0.27 of its spread (1.94 -> 1.92 ms), 0.53 (1.83 ->
+# 1.71 ms) or 1.06 of it, a single strip (2.90 -> 2.44 ms), and at 200 rows
+# whose windows of rho cover 1.28 and 2.12 of the two spreads (alpha .05,
+# beta .02), 5.25 -> 3.77 ms.
+_BOX_ROWS = 40
 
 
 def _sorted_rows(graph: Graph, params: CoarseningParams, rho: float):
     """The customers as (x, y, nominal_t, id, (x, y)) rows sorted on one
     axis, x, y or nominal time, whichever window (rho/alpha or rho/beta)
     covers the smallest share of its values' spread. Returns (rows, keys,
-    weight): the rows, their values on that axis and its weight, alpha or
-    beta. No rows when rho <= 0 or fewer than two customers remain."""
+    weight, shares): the rows, their values on that axis, its weight, alpha
+    or beta, and each axis's share (inf where the axis has no weight or no
+    spread). No rows when rho <= 0 or fewer than two customers remain."""
     nodes = graph.customers
     weights = (params.alpha, params.alpha, params.beta)
     if rho <= 0 or len(nodes) < 2:
-        return [], [], params.alpha
+        return [], [], params.alpha, [math.inf] * 3
     rows = [(n.x, n.y, n.nominal_t, n.id, (n.x, n.y)) for n in nodes]
 
     def share(axis):                    # of the axis's spread one window covers
@@ -172,9 +201,22 @@ def _sorted_rows(graph: Graph, params: CoarseningParams, rho: float):
         spread = max(values) - min(values)
         return rho / weights[axis] / spread if spread and weights[axis] else math.inf
 
-    axis = min((0, 1, 2), key=share)
+    shares = [share(axis) for axis in (0, 1, 2)]
+    axis = min((0, 1, 2), key=shares.__getitem__)
     rows.sort(key=itemgetter(axis))
-    return rows, [row[axis] for row in rows], weights[axis]
+    return rows, [row[axis] for row in rows], weights[axis], shares
+
+
+def _box_axes(count: int, shares):
+    """(a1, a2), the round's most selective axis and the next, when a round
+    of `count` rows weighs in boxes: its window of rho holds _BOX_ROWS rows
+    or more on a1 on average (all `count` when it covers a1's spread), and
+    a2 has a weight and a spread (a finite share). None when the round
+    sweeps."""
+    a1, a2, _ = sorted((0, 1, 2), key=shares.__getitem__)
+    if count * min(shares[a1], 1) >= _BOX_ROWS and shares[a2] < math.inf:
+        return a1, a2
+    return None
 
 
 def _window_ends(keys, weight: float, radius: float, starts):
@@ -184,9 +226,9 @@ def _window_ends(keys, weight: float, radius: float, starts):
     return [bisect_right(keys, key + side, lo) for key, lo in zip(keys, starts)]
 
 
-def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, ends):
+def _weigh(graph: Graph, params: CoarseningParams, limit: float, rows, starts, ends):
     """Weigh each row against rows[start:end]; returns the pairs (w, i, j),
-    i < j, with weight w = alpha*tau + beta*|t_i - t_j| <= rho (st_distance
+    i < j, with weight w = alpha*tau + beta*|t_i - t_j| <= limit (st_distance
     in nominal mode), unsorted, and the number of pairs weighed from
     positions. The weight from the two positions is exact unless the graph
     is conservative, whose travel times add the two nodes' covering radii;
@@ -201,13 +243,42 @@ def _weigh(graph: Graph, params: CoarseningParams, rho: float, rows, starts, end
     pairs = [(w, i, j) if i < j else (w, j, i)
              for (_, _, at, i, pa), lo, hi in zip(rows, starts, ends)
              for _, _, bt, j, pb in rows[lo:hi]
-             if (w := alpha * dist(pa, pb) + beta * abs(at - bt)) <= rho]
+             if (w := alpha * dist(pa, pb) + beta * abs(at - bt)) <= limit]
     if graph.conservative:
         tau, node = graph.tau, graph.node
         pairs = [(w, i, j) for _, i, j in pairs
                  if (w := alpha * tau(i, j)
-                     + beta * abs(node(i).nominal_t - node(j).nominal_t)) <= rho]
+                     + beta * abs(node(i).nominal_t - node(j).nominal_t)) <= limit]
     return pairs, sum(ends) - sum(starts)
+
+
+def _box_pairs(graph: Graph, params: CoarseningParams, radius: float, rows, a1: int, a2: int):
+    """The pairs (w, i, j) of weight <= radius among `rows`, unsorted, and
+    the number weighed (_weigh), found in boxes: the rows are cut into
+    strips on axis a2, each one window of radius wide, and ordered by
+    (strip, value on a1) through one composite key; each row is weighed
+    against the rows after it in its strip and the rows of the next strip,
+    within its window on a1 (see _WINDOW_MARGIN). Both axes need a weight."""
+    if len(rows) < 2:
+        return [], 0
+    weights = (params.alpha, params.alpha, params.beta)
+    side = radius / weights[a1] or math.inf          # an a1 window; the key counts in them
+    strip = radius / weights[a2] * (1 + _WINDOW_MARGIN) or math.inf
+    low1 = min(row[a1] for row in rows)
+    low2 = min(row[a2] for row in rows)
+    offsets = [(row[a1] - low1) / side for row in rows]
+    stretch = max(offsets) + 3          # a strip's keys, with a window's room on both sides
+    keys = [(row[a2] - low2) // strip * stretch + offset for row, offset in zip(rows, offsets)]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    rows, keys = [rows[k] for k in order], [keys[k] for k in order]
+    reach = 1 + _WINDOW_MARGIN + keys[-1] * 2**-40
+    firsts = range(1, len(rows) + 1)
+    ends = [bisect_right(keys, key + reach, lo) for key, lo in zip(keys, firsts)]
+    starts = [bisect_left(keys, key + stretch - reach, lo) for key, lo in zip(keys, ends)]
+    nexts = [bisect_right(keys, key + stretch + reach, lo) for key, lo in zip(keys, starts)]
+    same, weighed = _weigh(graph, params, radius, rows, firsts, ends)
+    near, weighed_near = _weigh(graph, params, radius, rows, starts, nexts)
+    return same + near, weighed + weighed_near
 
 
 def _match(graph: Graph, params: CoarseningParams, pairs, used: set, merges: list):
@@ -236,18 +307,30 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     merge. The matching takes each node once and never the depot, and skips
     infeasible orders and empty conservative windows. It runs as one loop
     over the rings r = rho/4, rho/2 and rho, going straight to rho after a
-    pass that matches nothing, so the last pass is always rho, on the
-    customers sorted on the axis whose window of rho covers the smallest
-    share of its spread (_sorted_rows), a sweep that drops no pair within
-    rho (see _WINDOW_MARGIN). Each pass keeps the rows still unmatched,
-    weighs each against the next ones from the end of its previous window
-    to the end of its window of r, so no pair is weighed twice, and
-    matches, in (w, i, j) order, the pairs weighed so far of weight <= r
-    whose ends are both unmatched; the heavier pairs carry to the next
-    pass. Every pair of weight <= r lies in the window of r, so the merges
-    are those of one greedy pass over all pairs within rho in (w, i, j)
-    order: a pair with a matched end would have been skipped. A round
-    costs O(n log n + pairs in the window).
+    pass that matches nothing, so the last pass is always rho. Each pass
+    keeps the rows still unmatched and weighs them in one of two ways,
+    chosen per round (_box_axes), neither of which drops a pair within r
+    (see _WINDOW_MARGIN):
+
+    - a sweep, on the customers sorted on the axis whose window of rho
+      covers the smallest share of its spread (_sorted_rows): each row is
+      weighed against the next ones from the end of its previous window to
+      the end of its window of r, so no pair is weighed twice, and the pass
+      matches the pairs weighed so far of weight <= r; the heavier pairs
+      carry to the next pass;
+    - boxes, when that window holds _BOX_ROWS (40) rows or more on average
+      and the next axis has a weight and a spread: the rows are cut into
+      strips on the second axis, one window of r wide, and each is weighed
+      against the rows within its window on the first axis in its own
+      strip and the next one (_box_pairs). A pass holds every pair within
+      r, so nothing carries, and a pair may be weighed again in a later
+      pass.
+
+    A pass matches its pairs in (w, i, j) order, skipping those with a
+    matched end. Every pair of weight <= r reaches the pass of r, so the
+    merges are those of one greedy pass over all pairs within rho in
+    (w, i, j) order: a pair with a matched end would have been skipped. A
+    round costs O(n log n + pairs weighed).
 
     propagation="relaxed" widens merged windows and measures travel from
     midpoints; "conservative" tightens them and contracts to a conservative
@@ -260,7 +343,7 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     first; `trace`, when given, collects one summary dict per round, and the
     last one gets "stop": "target" or "stalled". A round's "pairs_scanned"
     counts the pairs its passes weighed from positions, and "candidates"
-    those of them within rho.
+    those of them within rho in a sweep, within the pass's radius in boxes.
     """
     n0 = graph.customer_count
     history: list[MergeRecord] = []
@@ -268,7 +351,8 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
     while graph.customer_count > params.p_target * n0:
         rounds += 1
         rho = radius_threshold(graph, params.radius_coeff)
-        rows, keys, weight = _sorted_rows(graph, params, rho)
+        rows, keys, weight, shares = _sorted_rows(graph, params, rho)
+        boxes = _box_axes(len(rows), shares)
         ends = range(1, len(rows) + 1)  # each row's window so far ends just past it
         used, merges, carried = set(), [], []
         scanned = candidates = 0
@@ -276,14 +360,17 @@ def coarsen(graph: Graph, params: CoarseningParams, trace: list | None = None):
         for radius in (rho / 4, rho / 2, rho):
             if not matched and radius < rho:
                 continue                # a pass that matched nothing goes straight to rho
-            # the rows still unmatched; the first unmatched row at or after
-            # rows[k] is unmatched row free_before[k]
             free = [row[3] not in used for row in rows]
-            free_before = list(accumulate(free, initial=0))
-            rows, keys = list(compress(rows, free)), list(compress(keys, free))
-            starts = [free_before[k] for k in compress(ends, free)]
-            ends = _window_ends(keys, weight, radius, starts)
-            pairs, weighed = _weigh(graph, params, rho, rows, starts, ends)
+            rows = list(compress(rows, free))       # the rows still unmatched
+            if boxes:                   # every pair within radius, so nothing carries
+                pairs, weighed = _box_pairs(graph, params, radius, rows, *boxes)
+            else:
+                # the first unmatched row at or after rows[k] is unmatched row free_before[k]
+                free_before = list(accumulate(free, initial=0))
+                keys = list(compress(keys, free))
+                starts = [free_before[k] for k in compress(ends, free)]
+                ends = _window_ends(keys, weight, radius, starts)
+                pairs, weighed = _weigh(graph, params, rho, rows, starts, ends)
             scanned += weighed
             candidates += len(pairs)
             pairs += [p for p in carried if p[1] not in used and p[2] not in used]

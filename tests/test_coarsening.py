@@ -7,10 +7,10 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsevrp.coarsening import (PROPAGATION_MODES, CoarseningParams, MergeRecord,
-                                  _sorted_rows, _weigh, _window_ends, aggregate_window,
-                                  choose_direction, coarsen, merge_feasibility,
-                                  merge_slack, radius_threshold, st_distance,
-                                  temporal_separation)
+                                  _box_axes, _box_pairs, _sorted_rows, _weigh, _window_ends,
+                                  aggregate_window, choose_direction, coarsen,
+                                  merge_feasibility, merge_slack, radius_threshold,
+                                  st_distance, temporal_separation)
 from coarsevrp.graph import CoarseNode, Graph
 from coarsevrp.inflation import expansion_map
 from coarsevrp.instances import Customer, Instance
@@ -448,11 +448,19 @@ def candidate_pairs(graph, params, rho):
     one after it within the full window of rho on the sorted axis. Returns
     the pairs (w, i, j), i < j, with w <= rho, sorted, and the number of
     pairs weighed from positions."""
-    rows, keys, weight = _sorted_rows(graph, params, rho)
+    rows, keys, weight, _ = _sorted_rows(graph, params, rho)
     starts = range(1, len(rows) + 1)
     candidates, scanned = _weigh(graph, params, rho, rows, starts,
                                  _window_ends(keys, weight, rho, starts))
     return sorted(candidates), scanned
+
+
+def box_pairs(graph, params, rho, a1, a2):
+    """One box pass of coarsen at radius rho on axes a1 and a2: the pairs
+    (w, i, j), i < j, with w <= rho, sorted, and the number weighed."""
+    rows = _sorted_rows(graph, params, rho)[0]
+    pairs, scanned = _box_pairs(graph, params, rho, rows, a1, a2)
+    return sorted(pairs), scanned
 
 
 def _full_scan(graph, params, rho):
@@ -602,6 +610,15 @@ def test_scan_keeps_pairs_one_cell_side_apart(weight, rho):
             candidates, _ = candidate_pairs(g, params, rho)
             assert candidates == _full_scan(g, params, rho)
             boundary_pairs += sum(i > 1 and j == i + 1 for _, i, j in candidates)
+        # in boxes, with strips on the spaced axis, so neighbours lie one
+        # window apart across a strip boundary, and with the window on it
+        for g, params, spaced, other in (
+                (along_x, CoarseningParams(alpha=weight, beta=0.0), 0, 1),
+                (along_y, CoarseningParams(alpha=weight, beta=0.0), 1, 0),
+                (temporal, CoarseningParams(alpha=weight, beta=weight), 2, 0)):
+            full = _full_scan(g, params, rho)
+            assert box_pairs(g, params, rho, other, spaced)[0] == full
+            assert box_pairs(g, params, rho, spaced, other)[0] == full
     # neighbours sit at w ~ rho; rounding pushes some of them just past it
     assert boundary_pairs >= 3 * len(offsets)
 
@@ -618,6 +635,22 @@ def test_scan_window_margin_keeps_pairs_rounding_puts_past_the_window(weight, rh
                        CoarseningParams(alpha=weight, beta=0.0))):
         candidates, _ = candidate_pairs(g, params, rho)
         assert candidates == _full_scan(g, params, rho) != []
+    # in boxes: the pair within one strip, with the window on its axis, and
+    # across a strip boundary, which a third customer below a moves to
+    # between a and b: half a window below, or just under one window below,
+    # where strips without the margin would put a and b two strips apart;
+    # the strips run on x, then on y
+    on_x = [[(a, 0.0), (b, 0.0)]]
+    on_x += [[(below, 0.0), (a, 0.0), (b, 0.0)]
+             for below in (a - rho / weight / 2, math.nextafter(a - rho / weight, math.inf))]
+    for points in on_x + [[(y, x) for x, y in layout] for layout in on_x]:
+        g = _graph_of(points, [(100, 50, 0)] * len(points))
+        params = CoarseningParams(alpha=weight, beta=0.0)
+        full = _full_scan(g, params, rho)
+        assert (a, b) in [(g.node(i).x + g.node(i).y, g.node(j).x + g.node(j).y)
+                          for _, i, j in full]
+        assert box_pairs(g, params, rho, 0, 1)[0] == full
+        assert box_pairs(g, params, rho, 1, 0)[0] == full
 
 
 @pytest.mark.parametrize("alpha,rho", [(1e300, 1e-30), (1e-320, 1.0), (0.5, 1e300)])
@@ -739,11 +772,50 @@ def test_coarsen_matches_as_one_full_scan_per_round(case):
     ref, ref_history = _reference_coarsen(graph, params)
     assert history == ref_history
     assert cg.customers == ref.customers
-    # each pair is weighed at most once: round 1 weighs no more than one full scan
+    # 30 rows never hold a window of _BOX_ROWS, so every round sweeps, and a
+    # sweep weighs each pair at most once: round 1 no more than one full scan
     if trace:
         candidates, scanned = candidate_pairs(graph, params, trace[0]["rho"])
         assert trace[0]["pairs_scanned"] <= scanned
         assert trace[0]["candidates"] <= len(candidates)
+
+
+# rounds that weigh in boxes: acceptance test 6's parameters, and tune's
+# default search space at its trial 19 of seed 42 (alpha .5, beta .1, p .3,
+# radius 1.5), with strips on y; at alpha .3 the strips run on x and the
+# window on nominal time, and at alpha .1 (trial 13) one strip on x is
+# wider than x's whole spread
+@pytest.mark.parametrize("propagation", PROPAGATION_MODES)
+@pytest.mark.parametrize("n,family,alpha,beta,p,coeff,axes", [
+    (150, "random", 0.9, 0.1, 0.3, 4.0, (0, 1)),
+    (300, "mixed", 0.9, 0.1, 0.3, 4.0, (0, 1)),
+    (200, "clustered", 0.5, 0.1, 0.3, 1.5, (0, 1)),
+    (200, "mixed", 0.3, 0.1, 0.3, 1.5, (2, 0)),
+    (200, "mixed", 0.1, 0.1, 0.5, 1.5, (2, 0))])
+def test_box_rounds_match_as_one_full_scan_per_round(propagation, n, family, alpha, beta,
+                                                     p, coeff, axes):
+    graph = Graph.from_instance(gen.random_instance(7, n, family=family))
+    params = CoarseningParams(alpha=alpha, beta=beta, p_target=p, radius_coeff=coeff,
+                              propagation=propagation)
+    rho = radius_threshold(graph, coeff)
+    rows, _, _, shares = _sorted_rows(graph, params, rho)
+    assert _box_axes(len(rows), shares) == axes
+    trace = []
+    cg, history = coarsen(graph, params, trace=trace)
+    ref, ref_history = _reference_coarsen(graph, params)
+    assert history == ref_history
+    assert cg.customers == ref.customers
+    # a box pass weighs only neighbouring strips, far fewer pairs than the sweep
+    assert trace[0]["pairs_scanned"] < candidate_pairs(graph, params, rho)[1]
+
+
+def test_box_axes_need_rows_per_window_and_a_finite_second_share():
+    inf = math.inf
+    assert _box_axes(100, [0.39, 0.5, inf]) is None         # 39 rows per window
+    assert _box_axes(100, [0.4, inf, inf]) is None          # no second axis to cut
+    assert _box_axes(100, [inf, 0.4, 3.0]) == (1, 2)        # a strip wider than a2's spread
+    assert _box_axes(39, [2.0, 3.0, inf]) is None           # a window holds at most 39 rows
+    assert _box_axes(100, [0.4, 0.4, inf]) == (0, 1)
 
 
 def test_half_radius_pairs_match_before_the_outer_ring():

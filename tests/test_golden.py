@@ -43,9 +43,9 @@ PIPELINE_DIGESTS = {
 
 TRACE_DIGESTS = {
     "relaxed":
-        "6bc3d79a17986647e11fe692ac682df25d301ac23318d0846bb3d9cf155b3544",
+        "e1925c184de4db3f8db3bd97414688e021c00a58b9e8b74aff6b98be515ffbfc",
     "conservative":
-        "2d2f07c681cda042b57f1d9c6ccbeeeaddfc7b82df125fb5c5de2395dfaa9a55",
+        "d9013dfac10047f16fc5aa9174626d888e81a4cd755122ec0bb98815157edf03",
 }
 
 CLI_DEFAULTS_CONSERVATIVE_DIGEST = (

@@ -1,4 +1,4 @@
-"""Every module of the package and of the test suite parses as Python 3.10,
+"""Every module of the package, the test suite and tools/ parses as Python 3.10,
 the oldest version pyproject.toml accepts. This checks syntax only (such as
 `except*` or PEP 695 generics), not which standard-library APIs a module uses.
 """
@@ -10,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted([*ROOT.joinpath("src", "coarsevrp").glob("*.py"),
-                  *ROOT.joinpath("tests").glob("*.py")])
+                  *ROOT.joinpath("tests").glob("*.py"), *ROOT.joinpath("tools").glob("*.py")])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
