@@ -153,71 +153,103 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="coarsevrp",
-                                     description="Coarsen-solve-inflate toolkit for CVRPTW.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_instance(p):
+    p.add_argument("instance", help="Solomon-format instance file")
+
+
+def _add_propagation(p):
+    p.add_argument("--propagation", choices=PROPAGATION_MODES,
+                   default=CoarseningParams().propagation,
+                   help="relaxed widens merged time windows; conservative tightens "
+                        "them and uses travel times that are an upper bound over the "
+                        "members, so a coarse route with no late stop expands to one "
+                        "with none (default: %(default)s)")
+
+
+def _add_solver(p):
+    p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
+
+
+def _add_solve(p):
     defaults = CoarseningParams()
-
-    def add_instance(p):
-        p.add_argument("instance", help="Solomon-format instance file")
-
-    def add_propagation(p):
-        p.add_argument("--propagation", choices=PROPAGATION_MODES, default=defaults.propagation,
-                       help="relaxed widens merged time windows; conservative tightens "
-                            "them and uses travel times that are an upper bound over the "
-                            "members, so a coarse route with no late stop expands to one "
-                            "with none (default: %(default)s)")
-
-    def add_solver(p):
-        p.add_argument("--solver", choices=tuple(SOLVERS), default="savings")
-
-    p = sub.add_parser("solve", help="coarsen, solve, inflate one instance")
-    add_instance(p)
+    _add_instance(p)
     p.add_argument("--alpha", type=float, default=defaults.alpha)
     p.add_argument("--beta", type=float, default=defaults.beta)
     p.add_argument("--p", type=float, default=defaults.p_target)
     p.add_argument("--radius", type=float, default=defaults.radius_coeff)
-    add_solver(p)
-    add_propagation(p)
+    _add_solver(p)
+    _add_propagation(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("baseline", help="solve the uncoarsened instance")
-    add_instance(p)
-    add_solver(p)
+
+def _add_baseline(p):
+    _add_instance(p)
+    _add_solver(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", help="solution document path")
     p.set_defaults(fn=cmd_baseline)
 
-    p = sub.add_parser("tune", help="seeded random search over coarsening parameters")
-    add_instance(p)
+
+def _add_tune(p):
+    _add_instance(p)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--jobs", type=int, default=1)
-    add_propagation(p)
+    _add_propagation(p)
     p.add_argument("--config", help="JSON file with the search space")
     for name in SearchSpace.__slots__:
         p.add_argument("--" + name.replace("_", "-"), help="comma-separated override")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_tune)
 
-    p = sub.add_parser("plot", help="render a solution document to SVG")
+
+def _add_plot(p):
     p.add_argument("solution", help="solution document (JSON)")
     p.add_argument("-o", "--out", help="SVG path")
     p.set_defaults(fn=cmd_plot)
 
-    p = sub.add_parser("report", help="aggregate tuning runs into a comparison table")
+
+def _add_report(p):
     p.add_argument("run_dirs", nargs="+", help="directories written by `tune`")
     p.add_argument("-o", "--out", help="also write the table as CSV")
     p.set_defaults(fn=cmd_report)
+
+
+# each command's help line and the function that adds its arguments
+_COMMANDS = {
+    "solve": ("coarsen, solve, inflate one instance", _add_solve),
+    "baseline": ("solve the uncoarsened instance", _add_baseline),
+    "tune": ("seeded random search over coarsening parameters", _add_tune),
+    "plot": ("render a solution document to SVG", _add_plot),
+    "report": ("aggregate tuning runs into a comparison table", _add_report),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, given one, of that command alone.
+
+    A parser built for one command still names every command in its usage
+    line, so it parses that command's arguments and prints its help and its
+    errors byte for byte as the full parser does.
+    """
+    parser = argparse.ArgumentParser(prog="coarsevrp",
+                                     description="Coarsen-solve-inflate toolkit for CVRPTW.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    if command is not None:
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the named command's subparser alone builds in a third of the full parser's time
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:     # InstanceError, DocumentError and InflationError are ValueErrors

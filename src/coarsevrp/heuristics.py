@@ -7,8 +7,8 @@ unchanged on coarse graphs whose super-node times bound their members'.
 
 from __future__ import annotations
 
+import math
 from itertools import compress, repeat
-from operator import itemgetter
 
 from ._records import Record, _fill
 from .graph import DEPOT_ID, Graph, Route, recompute_schedule, walk_schedule
@@ -38,38 +38,47 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
     route end the solution as one-customer routes, each late or over
     capacity, so nothing is silently dropped.
 
-    The depot legs come from one Graph.taus call. At each step the
+    The depot legs come from one Graph.taus call and, with each node's
+    demand, window and service time, sit in lists by node id. At each step the
     unrouted nodes that fit the load and whose due time the route's clock
     has not yet passed, in id order, get their legs from the route's last
-    stop in one more, and are tried in the order of a stable sort on the
-    leg until one meets both time tests: the smallest leg, ties going to
-    the lower id. The clock test drops only nodes the due test would
-    reject, since a start max(time + leg, ready) is never below time.
+    stop in one more, and one pass over them keeps the feasible one with the
+    smallest leg: a node whose leg is not strictly below the best so far is
+    skipped before its time tests, so ties go to the lower id, as they would
+    in the first feasible node of a stable sort on the leg. The clock test
+    drops only nodes the due test would reject, since a start max(time +
+    leg, ready) is never below time. The pass starts from an infinite best
+    leg; a node an infinite leg away would start past its due anyway.
     """
-    depot = graph.depot
     unrouted = graph.customer_ids()
-    nodes = {c: graph.node(c) for c in unrouted}
-    homes = dict(zip(unrouted, graph.taus(DEPOT_ID, unrouted)))
+    size = max(unrouted, default=0) + 1      # coarse ids have gaps and run past n
+    demand, ready, due, service, homes = ([0.0] * size for _ in range(5))
+    for c, leg in zip(unrouted, graph.taus(DEPOT_ID, unrouted)):
+        n = graph.node(c)
+        demand[c], ready[c], due[c], service[c], homes[c] = (n.demand, n.ready, n.due,
+                                                             n.service, leg)
+    close = graph.depot.due
     routes: list[Route] = []
     while unrouted:
         stops = [DEPOT_ID]
         time = 0.0
         load = 0.0
         while True:
-            fits = [c for c in unrouted
-                    if not (load + (n := nodes[c]).demand > capacity or time > n.due)]
-            for leg, c in sorted(zip(graph.taus(stops[-1], fits), fits), key=itemgetter(0)):
-                node = nodes[c]
-                start = max(time + leg, node.ready)
-                if start > node.due or start + node.service + homes[c] > depot.due:
+            fits = [c for c in unrouted if not (load + demand[c] > capacity or time > due[c])]
+            best, best_leg = None, math.inf
+            for leg, c in zip(graph.taus(stops[-1], fits), fits):
+                if not leg < best_leg:
                     continue
-                time = start + node.service
-                load += node.demand
-                stops.append(c)
-                unrouted.remove(c)
+                start = max(time + leg, ready[c])
+                if start > due[c] or start + service[c] + homes[c] > close:
+                    continue
+                best, best_leg, best_start = c, leg, start
+            if best is None:
                 break
-            else:
-                break
+            time = best_start + service[best]
+            load += demand[best]
+            stops.append(best)
+            unrouted.remove(best)
         if len(stops) == 1:
             # nothing fits even a fresh vehicle: emit the rest as singletons
             for c in unrouted:

@@ -85,8 +85,12 @@ class PipelineResult(Record):
                      {} if timings is None else timings, [] if coarsening is None else coarsening))
 
 
-def run_pipeline(instance: Instance, params: CoarseningParams, solver: str) -> PipelineResult:
+def run_pipeline(instance: Instance, params: CoarseningParams, solver: str,
+                 graph: Graph | None = None) -> PipelineResult:
     """coarsen -> solve on the small graph -> inflate -> light repairs -> score.
+
+    `graph` is the instance's Graph.from_instance, built here when not given
+    and never modified: a campaign hands every task its worker's one graph.
 
     The coarse routes are expanded to stop lists and handed to the repair
     unscheduled (inflate plus light_postprocess, minus inflate's schedules),
@@ -96,7 +100,8 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str) -> P
     equals evaluate() on the same solution and graph.
     """
     solve_fn = SOLVERS[solver]
-    graph = Graph.from_instance(instance)
+    if graph is None:
+        graph = Graph.from_instance(instance)
     rounds = []
     t0 = time.perf_counter()
     coarse_graph, history = coarsen(graph, params, trace=rounds)
@@ -118,11 +123,13 @@ def run_pipeline(instance: Instance, params: CoarseningParams, solver: str) -> P
         coarsening=rounds)
 
 
-def solve_baseline(instance: Instance, solver: str) -> PipelineResult:
+def solve_baseline(instance: Instance, solver: str, graph: Graph | None = None) -> PipelineResult:
     """run_pipeline without the coarse stage: the solver's routes on the
-    uncoarsened instance, with metrics aggregated from their schedules."""
+    uncoarsened instance, with metrics aggregated from their schedules.
+    `graph` is as in run_pipeline."""
     solve_fn = SOLVERS[solver]
-    graph = Graph.from_instance(instance)
+    if graph is None:
+        graph = Graph.from_instance(instance)
     t0 = time.perf_counter()
     solution = solve_fn(graph, instance.capacity)
     solve_ms = (time.perf_counter() - t0) * 1e3
@@ -139,9 +146,9 @@ def trial_solution(instance: Instance, trial: TrialResult) -> Solution:
                      for stops in trial.stops], trial.solver, graph.name)
 
 
-def run_baseline(instance: Instance, solver: str) -> TrialResult:
+def run_baseline(instance: Instance, solver: str, graph: Graph | None = None) -> TrialResult:
     """solve_baseline as a campaign task: trial -1, with no parameters."""
-    out = solve_baseline(instance, solver)
+    out = solve_baseline(instance, solver, graph)
     return TrialResult(trial=-1, solver=solver, metrics=out.metrics, score=out.score,
                        **out.timings)
 
@@ -178,10 +185,10 @@ def sample_params(space: SearchSpace, rng: random.Random,
 
 
 def run_trial(instance: Instance, space: SearchSpace, seed: int, index: int,
-              propagation: str = "relaxed") -> TrialResult:
+              propagation: str = "relaxed", graph: Graph | None = None) -> TrialResult:
     rng = random.Random(trial_seed(seed, index))
     params, solver = sample_params(space, rng, propagation)
-    out = run_pipeline(instance, params, solver)
+    out = run_pipeline(instance, params, solver, graph)
     return TrialResult(trial=index, alpha=params.alpha, beta=params.beta,
                        p=params.p_target, radius_coeff=params.radius_coeff,
                        propagation=params.propagation, solver=solver,
@@ -212,19 +219,19 @@ def _usable_cpus() -> int:
 
 
 def _run_task(instance: Instance, space: SearchSpace, seed: int, propagation: str,
-              task: int | str) -> TrialResult:
+              graph: Graph, task: int | str) -> TrialResult:
     """A campaign task: a trial index, or the solver name of a baseline."""
     if isinstance(task, str):
-        return run_baseline(instance, task)
-    return run_trial(instance, space, seed, task, propagation)
+        return run_baseline(instance, task, graph)
+    return run_trial(instance, space, seed, task, propagation, graph)
 
 
-_worker_args: tuple = ()   # a pool worker's (instance, space, seed, propagation)
+_worker_args: tuple = ()   # a pool worker's (instance, space, seed, propagation, graph)
 
 
 def _start_worker(*args) -> None:
     global _worker_args
-    _worker_args = args
+    _worker_args = (*args, Graph.from_instance(args[0]))
 
 
 def _worker_task(task: int | str) -> TrialResult:
@@ -245,6 +252,12 @@ def run_campaign(instance: Instance, space: SearchSpace, n_trials: int, seed: in
     each trial is. The instance, space, seed and propagation reach each
     worker once, as the pool's initargs, under any start method. With one
     job, or one worker after the caps, every task runs here, in order.
+
+    The instance's Graph is built once per worker, by its initializer, or
+    once here when the tasks run here, and every task of that process reads
+    it: coarsening contracts into new graphs, and the solvers and repair
+    only read theirs. It is built before any task's timed stages, and it
+    lives no longer than the campaign.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -260,7 +273,8 @@ def run_campaign(instance: Instance, space: SearchSpace, n_trials: int, seed: in
                                  initargs=args) as pool:
             results = list(pool.map(_worker_task, tasks))
     else:
-        results = [_run_task(*args, task) for task in tasks]
+        graph = Graph.from_instance(instance)
+        results = [_run_task(*args, graph, task) for task in tasks]
     trials = results[len(baselines):]
     best = min(trials, key=lambda r: (r.score, r.trial))
     return best, trials, results[:len(baselines)]

@@ -408,6 +408,28 @@ def test_parser_defaults_come_from_coarsening_params_and_search_space():
         (name, ["--" + name.replace("_", "-")]) for name in SearchSpace.__slots__]
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("solve", "--alpha=x"), ("baseline", "--solver=x"), ("tune", "--bogus"),
+    ("plot", "--bogus"), ("report", "--bogus")])
+def test_main_parses_with_one_commands_parser_as_the_full_parser(command, bad, capsys):
+    # main builds only the named command's subparser; its help and its errors,
+    # an unrecognized option's under the top-level usage line too, are the full parser's
+    sub = next(a for a in build_parser(command)._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [command]
+
+    def run(parse, argv):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        return stop.value.code, *capsys.readouterr()
+
+    full = build_parser().parse_args
+    code, out, _ = helped = run(main, [command, "--help"])
+    assert helped == run(full, [command, "--help"]) and code == 0 and out
+    code, _, err = failed = run(main, [command, "x.txt", bad])
+    assert failed == run(full, [command, "x.txt", bad]) and code == 2 and err
+
+
 def test_tune_bad_config_is_validation_error(tmp_path, instance_file, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken")

@@ -394,3 +394,14 @@ def test_greedy_equals_reference(inst, alpha, radius, propagation):
     for graph in (g, coarse):
         got = greedy_solve(graph, inst.capacity)
         assert got == reference_greedy_solve(graph, inst.capacity)
+
+
+def test_greedy_keeps_the_first_of_equal_legs_past_a_nearer_failing_node():
+    # node 1 is nearest, but its start 96 plus its return leg 5 misses the
+    # depot's closing at 100; nodes 2 and 3 tie at leg 10, and the one-pass
+    # scan must keep 2, the lower id, as the first feasible of a stable sort would
+    inst = make_instance([(5, 0, 10, 96, 96, 0), (0, 10, 10, 0, 100, 0),
+                          (0, -10, 10, 0, 100, 0)], horizon=100.0)
+    sol = greedy_solve(Graph.from_instance(inst), inst.capacity)
+    assert [(r.stops, r.late_stops) for r in sol.routes] == [([0, 2, 3, 0], ()),
+                                                             ([0, 1, 0], (2,))]

@@ -245,6 +245,30 @@ def test_campaign_queues_its_baselines_first_in_the_trials_pool(serial_pool, mon
                                                  for s in solvers]
 
 
+def test_campaign_builds_one_graph_per_worker_and_leaves_it_as_built(serial_pool,
+                                                                     monkeypatch):
+    monkeypatch.setattr("coarsevrp.tuning._usable_cpus", lambda: 2)
+    inst = gen.random_instance(23, 16, family="clustered")
+    from_instance, built = Graph.from_instance, []
+
+    def counted(instance):
+        built.append(from_instance(instance))
+        return built[-1]
+
+    monkeypatch.setattr(Graph, "from_instance", staticmethod(counted))
+    solvers = tuple(SOLVERS)
+    run_campaign(inst, SearchSpace(), 3, seed=11, jobs=2, baselines=solvers)
+    assert len(built) == len(serial_pool.started) == 1    # the pool's one worker
+    run_campaign(inst, SearchSpace(), 3, seed=11, jobs=1, baselines=solvers)
+    assert len(built) == 2                                 # and one for the serial run
+    # every task read the shared graph; none changed it
+    shared, fresh = built[-1], from_instance(inst)
+    assert list(shared._nodes.items()) == list(fresh._nodes.items())
+    assert (shared.depot, shared.conservative, shared.name) == (
+        fresh.depot, fresh.conservative, fresh.name)
+    assert shared._points == {nid: (n.x, n.y) for nid, n in fresh._nodes.items()}
+
+
 @pytest.mark.parametrize("field", ["alphas", "betas", "ps", "radius_coeffs", "solvers"])
 def test_search_space_rejects_an_empty_field(field):
     # an empty field would fail inside the first trial's draw with IndexError
