@@ -39,32 +39,54 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
     capacity, so nothing is silently dropped.
 
     The depot legs come from one Graph.taus call and, with each node's
-    demand, window and service time, sit in lists by node id. At each step the
-    unrouted nodes that fit the load and whose due time the route's clock
-    has not yet passed, in id order, get their legs from the route's last
-    stop in one more, and one pass over them keeps the feasible one with the
-    smallest leg: a node whose leg is not strictly below the best so far is
-    skipped before its time tests, so ties go to the lower id, as they would
-    in the first feasible node of a stable sort on the leg. The clock test
-    drops only nodes the due test would reject, since a start max(time +
-    leg, ready) is never below time. The pass starts from an infinite best
-    leg; a node an infinite leg away would start past its due anyway.
+    demand, window and service time, sit in lists by node id. Every route
+    starts in the same state, at the depot at time 0 with load 0, so
+    whether a node could open a route never changes during a solve: the
+    nodes that could are sorted once by (depot leg, id), and each route
+    opens with the first of them not yet routed, the node a scan of every
+    unrouted node would pick. When none is left, the rest become the
+    one-customer routes. Within a route the load and the clock only grow,
+    since demands, legs and service times are never negative, so a node
+    that no longer fits the load, or whose due time the clock has passed,
+    never fits again on that route: each step's candidates are those of
+    the step before that still pass these two tests, in id order. A node
+    that failed only the start or depot-return test stays a candidate, as
+    the next leg leaves from another stop. The candidates get their legs
+    from the route's last stop in one more Graph.taus call, and one pass
+    over them keeps the feasible one with the smallest leg: a node whose
+    leg is not strictly below the best so far is skipped before its time
+    tests, so ties go to the lower id, as they would in the first feasible
+    node of a stable sort on the leg. The clock test drops only nodes the
+    due test would reject, since a start max(time + leg, ready) is never
+    below time. The pass starts from an infinite best leg; a node an
+    infinite leg away would start past its due anyway.
     """
-    unrouted = graph.customer_ids()
-    size = max(unrouted, default=0) + 1      # coarse ids have gaps and run past n
+    ids = graph.customer_ids()
+    size = max(ids, default=0) + 1      # coarse ids have gaps and run past n
     demand, ready, due, service, homes = ([0.0] * size for _ in range(5))
-    for c, leg in zip(unrouted, graph.taus(DEPOT_ID, unrouted)):
+    for c, leg in zip(ids, graph.taus(DEPOT_ID, ids)):
         n = graph.node(c)
         demand[c], ready[c], due[c], service[c], homes[c] = (n.demand, n.ready, n.due,
                                                              n.service, leg)
     close = graph.depot.due
+    firsts = []                              # (depot leg, id) of each possible first stop
+    for c in ids:
+        start = max(homes[c], ready[c])
+        if not (demand[c] > capacity or start > due[c] or start + service[c] + homes[c] > close):
+            firsts.append((homes[c], c))
+    firsts.sort()
+    routed = [False] * size
     routes: list[Route] = []
-    while unrouted:
-        stops = [DEPOT_ID]
-        time = 0.0
-        load = 0.0
-        while True:
-            fits = [c for c in unrouted if not (load + demand[c] > capacity or time > due[c])]
+    for _, first in firsts:
+        if routed[first]:
+            continue
+        routed[first] = True
+        stops = [DEPOT_ID, first]
+        time = max(homes[first], ready[first]) + service[first]
+        load = demand[first]
+        fits = [c for c in ids
+                if not (routed[c] or load + demand[c] > capacity or time > due[c])]
+        while fits:
             best, best_leg = None, math.inf
             for leg, c in zip(graph.taus(stops[-1], fits), fits):
                 if not leg < best_leg:
@@ -78,13 +100,14 @@ def greedy_solve(graph: Graph, capacity: float) -> Solution:
             time = best_start + service[best]
             load += demand[best]
             stops.append(best)
-            unrouted.remove(best)
-        if len(stops) == 1:
-            # nothing fits even a fresh vehicle: emit the rest as singletons
-            for c in unrouted:
-                routes.append(recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity))
-            break
+            routed[best] = True
+            fits = [c for c in fits
+                    if not (c == best or load + demand[c] > capacity or time > due[c])]
         routes.append(recompute_schedule(stops + [DEPOT_ID], graph, capacity))
+    # nothing fits even a fresh vehicle: emit the rest as singletons
+    for c in ids:
+        if not routed[c]:
+            routes.append(recompute_schedule([DEPOT_ID, c, DEPOT_ID], graph, capacity))
     return Solution(routes, "greedy", graph.name)
 
 
